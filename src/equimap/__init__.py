@@ -27,6 +27,7 @@ from .detection import (
     detect,
     detect_with_family,
     family_block_minima,
+    family_verdicts,
     isotropic_state,
     parse_state_spec,
     product_state,
@@ -76,7 +77,6 @@ from .linalg import (
 from .perms import (
     GramMatrix,
     Permutation,
-    cycle_count,
     enumerate_sym,
     gram_matrix,
     sigma_rep,
@@ -90,6 +90,7 @@ from .positivity import (
     k_positivity,
     k_positivity_falsify,
     positivity_profile,
+    psd_eig,
 )
 from .zoo import (
     ZooEntry,

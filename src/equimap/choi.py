@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ContractViolation, ParameterError, ShapeError
 from .linalg import (
-    HERMITICITY_RTOL,
     as_matrix,
+    check_hermitian,
     complex_gaussian,
     frobenius_norm,
     rng_from_seed,
@@ -79,13 +79,8 @@ class MapRep:
             raise ShapeError(
                 f"Choi matrix shape {arr.shape} does not match n*N = {d}"
             )
-        scale = 1.0 + float(np.abs(arr).max()) if arr.size else 1.0
-        asym = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
-        if asym > HERMITICITY_RTOL * scale:
-            raise ContractViolation(
-                f"Choi matrix is not Hermitian (max asymmetry {asym:.3e}); "
-                "only self-adjoint maps are representable"
-            )
+        # Only self-adjoint maps are representable.
+        check_hermitian(arr, "Choi matrix")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "choi", arr)

@@ -26,9 +26,8 @@ import numpy as np
 
 from . import __version__, serialize
 from .detection import (
-    STATE_GRAMMAR,
     detect,
-    family_block_minima,
+    family_verdicts,
     parse_state_spec,
     sampled_detector,
     sn_certificate,
@@ -43,7 +42,7 @@ from .errors import CapacityError, ContractViolation, EquimapError, ParameterErr
 from .linalg import check_seed
 from .perms import Permutation, enumerate_sym
 from .positivity import k_positivity, k_positivity_falsify, positivity_profile
-from .zoo import MAP_GRAMMAR, parse_map_spec, positivity_scan
+from .zoo import parse_map_spec, positivity_scan
 
 
 class _UsageError(Exception):
@@ -86,92 +85,6 @@ def _parse_range(text: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def build_parser() -> _Parser:
-    p = _Parser(prog="equimap", description="equivariant maps, positivity, detection")
-    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add(name, **kwargs):
-        q = sub.add_parser(name, **kwargs)
-        return q
-
-    q = add("basis", help="list the permutation basis for a signature")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--b", type=int, required=True)
-    q.add_argument("--format", choices=("json", "text", "dot"), default="json")
-
-    q = add("build", help="synthesize a map from a coefficient file")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--b", type=int, required=True)
-    q.add_argument("--coeffs", required=True, metavar="FILE")
-    q.add_argument("--out", required=True, metavar="FILE")
-
-    q = add("decompose", help="coefficients of a Choi matrix in the basis")
-    q.add_argument("--choi", required=True, metavar="FILE")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--b", type=int, required=True)
-
-    q = add("equiv", help="sampled commutator check of a Choi matrix")
-    q.add_argument("--choi", required=True, metavar="FILE")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--b", type=int, required=True)
-    q.add_argument("--trials", type=int, default=20)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--tol", type=float, default=1e-8)
-
-    q = add("kpos", help="block k-positivity verdict for a zoo map")
-    q.add_argument("--map", required=True, dest="map_spec")
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--tol", type=float, default=None)
-
-    q = add("profile", help="positivity verdicts for every k")
-    q.add_argument("--map", required=True, dest="map_spec")
-    q.add_argument("--tol", type=float, default=None)
-
-    q = add("falsify", help="random-state search for a k-positivity violation")
-    q.add_argument("--map", required=True, dest="map_spec")
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--trials", type=int, default=500)
-    q.add_argument("--seed", type=int, default=0)
-
-    q = add("detect", help="apply an extended map to a state")
-    q.add_argument("--state", required=True, dest="state_spec")
-    q.add_argument("--map", required=True, dest="map_spec")
-    q.add_argument("--tol", type=float, default=None)
-
-    q = add("sn", help="Schmidt-number certificate attempt")
-    q.add_argument("--state", required=True, dest="state_spec")
-    q.add_argument("--map", required=True, dest="map_spec")
-    q.add_argument("--t", type=int, required=True)
-    q.add_argument("--tol", type=float, default=None)
-
-    q = add("family", help="sampled detector family curve")
-    q.add_argument("--map", required=True, dest="map_spec")
-    q.add_argument("--state", required=True, dest="state_spec")
-    q.add_argument("--samples", type=int, required=True)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--tol", type=float, default=None)
-
-    q = add("scan", help="positivity region over a parameter rectangle")
-    q.add_argument("--map", required=True, dest="map_name", choices=("collins", "collins3"))
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--alpha", required=True, metavar="LO:HI:STEPS")
-    q.add_argument("--beta", required=True, metavar="LO:HI:STEPS")
-    q.add_argument("--gamma", type=float, default=0.0)
-    q.add_argument("--tol", type=float, default=None)
-
-    q = add("diagram", help="wiring diagram of one basis element")
-    q.add_argument("--pi", required=True, metavar="CYCLES")
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--b", type=int, required=True)
-    q.add_argument("--format", choices=("json", "text", "dot"), default="json")
-
-    return p
-
-
 def _edges_json(d) -> list:
     return [
         {"from": [s1.lower(), j1], "to": [s2.lower(), j2]}
@@ -179,192 +92,254 @@ def _edges_json(d) -> list:
     ]
 
 
+def _arg(*names, **kwargs):
+    return names, kwargs
+
+
+_N = _arg("--n", type=int, required=True)
+_A = _arg("--a", type=int, required=True)
+_B = _arg("--b", type=int, required=True)
+_MAP = _arg("--map", required=True, dest="map_spec")
+_STATE = _arg("--state", required=True, dest="state_spec")
+_TOL = _arg("--tol", type=float, default=None)
+_SEED = _arg("--seed", type=int, default=0)
+_K = _arg("--k", type=int, required=True)
+_CHOI = _arg("--choi", required=True, metavar="FILE")
+_FORMAT = _arg("--format", choices=("json", "text", "dot"), default="json")
+
+# Every subcommand once: name -> (help, flags, handler).  A handler takes
+# the parsed arguments and the positivity tolerance and returns either a
+# results dict for the JSON report or raw text to print as is.
+COMMANDS: dict = {}
+
+
+def _command(name: str, help_text: str, *flags):
+    def register(handler):
+        COMMANDS[name] = (help_text, flags, handler)
+        return handler
+
+    return register
+
+
+@_command("basis", "list the permutation basis for a signature", _N, _A, _B, _FORMAT)
+def _basis(args, tol):
+    perms = enumerate_sym(args.a + args.b + 1)
+    diagrams = [(p.cycle_string(), wiring(p, args.a, args.b)) for p in perms]
+    if args.format == "text":
+        return "\n\n".join(render_text(d, title=f"pi={label}") for label, d in diagrams) + "\n"
+    if args.format == "dot":
+        return render_dot(diagrams, graph_name="basis")
+    elements = [
+        {"perm": p.cycle_string(), "cycles": p.cycle_count(), "edges": _edges_json(d)}
+        for p, (_, d) in zip(perms, diagrams)
+    ]
+    return {"n": args.n, "a": args.a, "b": args.b, "count": len(perms), "elements": elements}
+
+
+@_command(
+    "build", "synthesize a map from a coefficient file", _N, _A, _B,
+    _arg("--coeffs", required=True, metavar="FILE"),
+    _arg("--out", required=True, metavar="FILE"),
+)
+def _build(args, tol):
+    spec = serialize.spec_from_json(serialize.load_json(args.coeffs))
+    if (spec.n, spec.a, spec.b) != (args.n, args.a, args.b):
+        raise _UsageError(
+            f"coefficient file is for (n,a,b)=({spec.n},{spec.a},{spec.b}), "
+            f"flags say ({args.n},{args.a},{args.b})"
+        )
+    rep = build_equivariant(spec)
+    serialize.save_json(args.out, serialize.map_to_json(rep))
+    return {
+        "label": rep.label,
+        "n": rep.n,
+        "N": rep.N,
+        "choiDim": rep.n * rep.N,
+        "coeffCount": len(spec.coeffs),
+        "out": args.out,
+    }
+
+
+@_command("decompose", "coefficients of a Choi matrix in the basis", _CHOI, _N, _A, _B)
+def _decompose(args, tol):
+    C = serialize.load_matrix(args.choi)
+    coeffs, residual = decompose_equivariant(C, args.n, args.a, args.b)
+    entries = [
+        {"perm": p.cycle_string(), "re": c.real, "im": c.imag}
+        for p, c in coeffs.items()
+        if abs(c) > 1e-12
+    ]
+    return {"coeffs": entries, "residual": residual}
+
+
+@_command(
+    "equiv", "sampled commutator check of a Choi matrix", _CHOI, _N, _A, _B,
+    _arg("--trials", type=int, default=20), _SEED,
+    _arg("--tol", type=float, default=1e-8),
+)
+def _equiv(args, tol):
+    C = serialize.load_matrix(args.choi)
+    report = check_ab_equivariance(
+        C, args.n, args.a, args.b,
+        trials=args.trials, seed=check_seed(args.seed), tol=args.tol,
+    )
+    return {
+        "trials": report.trials,
+        "maxRelCommutatorNorm": report.max_rel_commutator_norm,
+        "tolerance": report.tolerance,
+        "verdict": "pass" if report.passed else "fail",
+    }
+
+
+@_command("kpos", "block k-positivity verdict for a zoo map", _MAP, _K, _TOL)
+def _kpos(args, tol):
+    entry = parse_map_spec(args.map_spec)
+    flag, min_eig = k_positivity(entry.rep, args.k, tol)
+    return {"map": entry.rep.label, "k": args.k, "pass": flag, "minEig": min_eig}
+
+
+@_command("profile", "positivity verdicts for every k", _MAP, _TOL)
+def _profile(args, tol):
+    prof = positivity_profile(parse_map_spec(args.map_spec).rep, tol)
+    return {
+        "label": prof.label,
+        "perK": [{"k": pt.k, "minEig": pt.min_eig, "pass": pt.passed} for pt in prof.per_k],
+        "maxK": prof.max_k,
+        "cp": prof.completely_positive,
+    }
+
+
+@_command(
+    "falsify", "random-state search for a k-positivity violation", _MAP, _K,
+    _arg("--trials", type=int, default=500), _SEED,
+)
+def _falsify(args, tol):
+    entry = parse_map_spec(args.map_spec)
+    witness = k_positivity_falsify(
+        entry.rep, args.k, trials=args.trials, seed=check_seed(args.seed)
+    )
+    results = {
+        "map": entry.rep.label,
+        "k": args.k,
+        "trials": args.trials,
+        "found": witness is not None,
+    }
+    if witness is not None:
+        results.update(
+            trial=witness.trial,
+            value=witness.value,
+            state=_vector_json(witness.state),
+            witness=_vector_json(witness.witness),
+        )
+    return results
+
+
+@_command("detect", "apply an extended map to a state", _STATE, _MAP, _TOL)
+def _detect(args, tol):
+    rho = parse_state_spec(args.state_spec)
+    verdict = detect(rho, parse_map_spec(args.map_spec).rep, tol)
+    results = {
+        "state": args.state_spec,
+        "map": verdict.map_label,
+        "minEig": verdict.min_eigenvalue,
+        "detected": verdict.detected,
+    }
+    if verdict.witness is not None:
+        results["witness"] = _vector_json(verdict.witness)
+    return results
+
+
+@_command(
+    "sn", "Schmidt-number certificate attempt", _STATE, _MAP,
+    _arg("--t", type=int, required=True), _TOL,
+)
+def _sn(args, tol):
+    rho = parse_state_spec(args.state_spec)
+    cert = sn_certificate(rho, parse_map_spec(args.map_spec).rep, args.t, tol)
+    return {
+        "state": args.state_spec,
+        "map": cert.map_label,
+        "t": cert.t,
+        "certified": cert.certified,
+        "claim": cert.claim,
+        "tPositive": cert.t_positive,
+        "kposMinEig": cert.kpos_min_eig,
+        "detectMinEig": cert.detect_min_eig,
+        "reason": cert.reason,
+    }
+
+
+@_command(
+    "family", "sampled detector family curve", _MAP, _STATE,
+    _arg("--samples", type=int, required=True), _SEED, _TOL,
+)
+def _family(args, tol):
+    rho = parse_state_spec(args.state_spec)
+    entry = parse_map_spec(args.map_spec)
+    family = sampled_detector(entry.rep, args.samples, check_seed(args.seed))
+    # Point a is detect_with_family on the first a unitaries.
+    curve, best = [], None
+    for a, verdict in enumerate(family_verdicts(rho, family, tol), start=1):
+        if best is None or verdict.min_eigenvalue < best.min_eigenvalue:
+            best = verdict
+        curve.append({"a": a, "minEig": best.min_eigenvalue, "detected": best.detected})
+    return {
+        "map": entry.rep.label,
+        "state": args.state_spec,
+        "samples": args.samples,
+        "curve": curve,
+    }
+
+
+@_command(
+    "scan", "positivity region over a parameter rectangle",
+    _arg("--map", required=True, dest="map_name", choices=("collins", "collins3")), _N,
+    _arg("--alpha", required=True, metavar="LO:HI:STEPS"),
+    _arg("--beta", required=True, metavar="LO:HI:STEPS"),
+    _arg("--gamma", type=float, default=0.0),
+    _TOL,
+)
+def _scan(args, tol):
+    gamma = args.gamma if args.map_name == "collins3" else None
+    rows = positivity_scan(
+        args.n, _parse_range(args.alpha), _parse_range(args.beta), gamma=gamma, tol=tol,
+    )
+    return {"map": args.map_name, "n": args.n, "grid": rows}
+
+
+@_command(
+    "diagram", "wiring diagram of one basis element",
+    _arg("--pi", required=True, metavar="CYCLES"), _A, _B, _FORMAT,
+)
+def _diagram(args, tol):
+    perm = Permutation.from_cycles(args.pi, args.a + args.b + 1)
+    d = wiring(perm, args.a, args.b)
+    if args.format == "text":
+        return render_text(d, title=f"pi={perm.cycle_string()}") + "\n"
+    if args.format == "dot":
+        return render_dot([(perm.cycle_string(), d)])
+    return {
+        "perm": perm.cycle_string(),
+        "a": args.a,
+        "b": args.b,
+        "verified": verify_wiring(d, perm),
+        "edges": _edges_json(d),
+    }
+
+
+def build_parser() -> _Parser:
+    p = _Parser(prog="equimap", description="equivariant maps, positivity, detection")
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_text, flags, _) in COMMANDS.items():
+        q = sub.add_parser(name, help=help_text)
+        for names, kwargs in flags:
+            q.add_argument(*names, **kwargs)
+    return p
+
+
 def _run(args, tol: float):
-    """Dispatch; returns (results dict, seed echo, raw text or None)."""
-    cmd = args.command
-
-    if cmd == "basis":
-        perms = enumerate_sym(args.a + args.b + 1)
-        diagrams = [(p.cycle_string(), wiring(p, args.a, args.b)) for p in perms]
-        if args.format == "text":
-            text = "\n\n".join(render_text(d, title=f"pi={label}") for label, d in diagrams)
-            return None, None, text + "\n"
-        if args.format == "dot":
-            return None, None, render_dot(diagrams, graph_name="basis")
-        elements = [
-            {
-                "perm": p.cycle_string(),
-                "cycles": p.cycle_count(),
-                "edges": _edges_json(d),
-            }
-            for p, (_, d) in zip(perms, diagrams)
-        ]
-        return {
-            "n": args.n,
-            "a": args.a,
-            "b": args.b,
-            "count": len(perms),
-            "elements": elements,
-        }, None, None
-
-    if cmd == "build":
-        spec = serialize.spec_from_json(serialize.load_json(args.coeffs))
-        if (spec.n, spec.a, spec.b) != (args.n, args.a, args.b):
-            raise _UsageError(
-                f"coefficient file is for (n,a,b)=({spec.n},{spec.a},{spec.b}), "
-                f"flags say ({args.n},{args.a},{args.b})"
-            )
-        rep = build_equivariant(spec)
-        serialize.save_json(args.out, serialize.map_to_json(rep))
-        return {
-            "label": rep.label,
-            "n": rep.n,
-            "N": rep.N,
-            "choiDim": rep.n * rep.N,
-            "coeffCount": len(spec.coeffs),
-            "out": args.out,
-        }, None, None
-
-    if cmd == "decompose":
-        C = serialize.load_matrix(args.choi)
-        coeffs, residual = decompose_equivariant(C, args.n, args.a, args.b)
-        entries = [
-            {"perm": p.cycle_string(), "re": c.real, "im": c.imag}
-            for p, c in coeffs.items()
-            if abs(c) > 1e-12
-        ]
-        return {"coeffs": entries, "residual": residual}, None, None
-
-    if cmd == "equiv":
-        C = serialize.load_matrix(args.choi)
-        report = check_ab_equivariance(
-            C, args.n, args.a, args.b,
-            trials=args.trials, seed=check_seed(args.seed), tol=args.tol,
-        )
-        return {
-            "trials": report.trials,
-            "maxRelCommutatorNorm": report.max_rel_commutator_norm,
-            "tolerance": report.tolerance,
-            "verdict": "pass" if report.passed else "fail",
-        }, args.seed, None
-
-    if cmd == "kpos":
-        entry = parse_map_spec(args.map_spec)
-        flag, min_eig = k_positivity(entry.rep, args.k, tol)
-        return {
-            "map": entry.rep.label,
-            "k": args.k,
-            "pass": flag,
-            "minEig": min_eig,
-        }, None, None
-
-    if cmd == "profile":
-        entry = parse_map_spec(args.map_spec)
-        prof = positivity_profile(entry.rep, tol)
-        return {
-            "label": prof.label,
-            "perK": [
-                {"k": pt.k, "minEig": pt.min_eig, "pass": pt.passed}
-                for pt in prof.per_k
-            ],
-            "maxK": prof.max_k,
-            "cp": prof.completely_positive,
-        }, None, None
-
-    if cmd == "falsify":
-        entry = parse_map_spec(args.map_spec)
-        witness = k_positivity_falsify(
-            entry.rep, args.k, trials=args.trials, seed=check_seed(args.seed)
-        )
-        results = {
-            "map": entry.rep.label,
-            "k": args.k,
-            "trials": args.trials,
-            "found": witness is not None,
-        }
-        if witness is not None:
-            results.update(
-                trial=witness.trial,
-                value=witness.value,
-                state=_vector_json(witness.state),
-                witness=_vector_json(witness.witness),
-            )
-        return results, args.seed, None
-
-    if cmd == "detect":
-        rho = parse_state_spec(args.state_spec)
-        entry = parse_map_spec(args.map_spec)
-        verdict = detect(rho, entry.rep, tol)
-        results = {
-            "state": args.state_spec,
-            "map": verdict.map_label,
-            "minEig": verdict.min_eigenvalue,
-            "detected": verdict.detected,
-        }
-        if verdict.witness is not None:
-            results["witness"] = _vector_json(verdict.witness)
-        return results, None, None
-
-    if cmd == "sn":
-        rho = parse_state_spec(args.state_spec)
-        entry = parse_map_spec(args.map_spec)
-        cert = sn_certificate(rho, entry.rep, args.t, tol)
-        return {
-            "state": args.state_spec,
-            "map": cert.map_label,
-            "t": cert.t,
-            "certified": cert.certified,
-            "claim": cert.claim,
-            "tPositive": cert.t_positive,
-            "kposMinEig": cert.kpos_min_eig,
-            "detectMinEig": cert.detect_min_eig,
-            "reason": cert.reason,
-        }, None, None
-
-    if cmd == "family":
-        rho = parse_state_spec(args.state_spec)
-        entry = parse_map_spec(args.map_spec)
-        family = sampled_detector(entry.rep, args.samples, check_seed(args.seed))
-        minima = family_block_minima(rho, family)
-        curve = []
-        running = float("inf")
-        for i, value in enumerate(minima):
-            running = min(running, float(value))
-            curve.append(
-                {"a": i + 1, "minEig": running, "detected": running < -tol}
-            )
-        return {
-            "map": entry.rep.label,
-            "state": args.state_spec,
-            "samples": args.samples,
-            "curve": curve,
-        }, args.seed, None
-
-    if cmd == "scan":
-        gamma = args.gamma if args.map_name == "collins3" else None
-        rows = positivity_scan(
-            args.n, _parse_range(args.alpha), _parse_range(args.beta),
-            gamma=gamma, tol=tol,
-        )
-        return {"map": args.map_name, "n": args.n, "grid": rows}, None, None
-
-    if cmd == "diagram":
-        k1 = args.a + args.b + 1
-        perm = Permutation.from_cycles(args.pi, k1)
-        d = wiring(perm, args.a, args.b)
-        if args.format == "text":
-            return None, None, render_text(d, title=f"pi={perm.cycle_string()}") + "\n"
-        if args.format == "dot":
-            return None, None, render_dot([(perm.cycle_string(), d)])
-        return {
-            "perm": perm.cycle_string(),
-            "a": args.a,
-            "b": args.b,
-            "verified": verify_wiring(d, perm),
-            "edges": _edges_json(d),
-        }, None, None
-
-    raise _UsageError(f"unhandled command {cmd!r}")
+    """Dispatch to the subcommand's handler: a results dict or raw text."""
+    return COMMANDS[args.command][2](args, tol)
 
 
 def _fold_range_values(argv):
@@ -393,18 +368,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_fold_range_values(list(argv)))
         tol = args.tol if getattr(args, "tol", None) is not None else default_tol()
-        results, seed, raw = _run(args, tol)
-    except _UsageError as exc:
+        out = _run(args, tol)
+    except (_UsageError, ParameterError, CapacityError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
         print(f"parse error at byte offset {exc.pos}: {exc.msg}", file=sys.stderr)
-        return 1
-    except (ParameterError, CapacityError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ContractViolation, ShapeError) as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
@@ -412,8 +381,8 @@ def main(argv=None) -> int:
     except (EquimapError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    if raw is not None:
-        sys.stdout.write(raw)
+    if isinstance(out, str):
+        sys.stdout.write(out)
         return 0
     report = {
         "command": args.command,
@@ -422,8 +391,8 @@ def main(argv=None) -> int:
             for key, value in sorted(vars(args).items())
             if key != "command"
         },
-        "seed": seed,
-        "results": results,
+        "seed": getattr(args, "seed", None),
+        "results": out,
         "elapsedMs": (time.perf_counter() - started) * 1000.0,
         "version": __version__,
     }

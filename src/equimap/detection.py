@@ -14,17 +14,9 @@ import numpy as np
 
 from .choi import MapRep, apply_map, bell_matrix, extend_map
 from .errors import ContractViolation, ParameterError, ShapeError
-from .linalg import (
-    as_matrix,
-    complex_gaussian,
-    frobenius_norm,
-    haar_from_rng,
-    hermitian_eig,
-    kron,
-    rng_from_seed,
-    subseed,
-)
-from .positivity import DEFAULT_TOL, k_positivity
+from .grammar import grammar_text, parse_spec
+from .linalg import as_matrix, haar_from_rng, hermitian_eig, kron, rng_from_seed, subseed
+from .positivity import DEFAULT_TOL, k_positivity, psd_eig
 
 _DENSITY_TRACE_TOL = 1e-10
 _DENSITY_EIG_FLOOR = -1e-10
@@ -137,23 +129,24 @@ class DetectionVerdict:
     witness: np.ndarray | None
 
 
+def _verdict(label: str, out: np.ndarray, tol: float) -> DetectionVerdict:
+    passed, vals, vecs = psd_eig(out, tol)
+    return DetectionVerdict(
+        map_label=label,
+        min_eigenvalue=float(vals[0]),
+        detected=not passed,
+        witness=None if passed else vecs[:, 0].copy(),
+    )
+
+
 def detect(rho: DensityMatrix, rep: MapRep, tol: float = DEFAULT_TOL) -> DetectionVerdict:
     """Verdict of the map on the state: apply id_m x Phi and look for a
-    negative eigenvalue below the relative tolerance."""
+    negative eigenvalue below the psd_eig tolerance."""
     if rep.n != rho.dim_b:
         raise ShapeError(
             f"map acts on M_{rep.n} but the state's second factor is C^{rho.dim_b}"
         )
-    out = apply_map(extend_map(rep, rho.dim_a), rho.mat)
-    vals, vecs = hermitian_eig(out)
-    min_eig = float(vals[0])
-    detected = min_eig < -tol * max(1.0, frobenius_norm(out))
-    return DetectionVerdict(
-        map_label=rep.label,
-        min_eigenvalue=min_eig,
-        detected=detected,
-        witness=vecs[:, 0].copy() if detected else None,
-    )
+    return _verdict(rep.label, apply_map(extend_map(rep, rho.dim_a), rho.mat), tol)
 
 
 @dataclass(frozen=True)
@@ -228,9 +221,10 @@ def sampled_detector(rep: MapRep, a: int, seed) -> DetectorFamily:
     return DetectorFamily(base=rep, unitaries=unitaries, seed=int(seed))
 
 
-def family_block_minima(rho: DensityMatrix, family: DetectorFamily) -> np.ndarray:
-    """Per-unitary minimum output eigenvalues min eig of
-    (id_m x phi)((1 x U_i) rho (1 x U_i)*)."""
+def family_verdicts(
+    rho: DensityMatrix, family: DetectorFamily, tol: float = DEFAULT_TOL
+) -> list[DetectionVerdict]:
+    """Per-unitary verdicts of id_m x phi on (1 x U_i) rho (1 x U_i)*."""
     rep = family.base
     if rep.n != rho.dim_b:
         raise ShapeError(
@@ -239,13 +233,18 @@ def family_block_minima(rho: DensityMatrix, family: DetectorFamily) -> np.ndarra
     m = rho.dim_a
     ext = extend_map(rep, m)
     eye = np.eye(m)
-    minima = []
+    label = f"family({rep.label},a={len(family.unitaries)})"
+    verdicts = []
     for U in family.unitaries:
         rot = kron(eye, U)
-        out = apply_map(ext, rot @ rho.mat @ rot.conj().T)
-        vals, _ = hermitian_eig(out)
-        minima.append(float(vals[0]))
-    return np.array(minima)
+        verdicts.append(_verdict(label, apply_map(ext, rot @ rho.mat @ rot.conj().T), tol))
+    return verdicts
+
+
+def family_block_minima(rho: DensityMatrix, family: DetectorFamily) -> np.ndarray:
+    """Per-unitary minimum output eigenvalues min eig of
+    (id_m x phi)((1 x U_i) rho (1 x U_i)*)."""
+    return np.array([v.min_eigenvalue for v in family_verdicts(rho, family)])
 
 
 def detect_with_family(
@@ -253,63 +252,45 @@ def detect_with_family(
 ) -> DetectionVerdict:
     """Min-over-family verdict; monotone in the family size by the
     prefix property of sampled_detector."""
-    minima = family_block_minima(rho, family)
-    idx = int(np.argmin(minima))
-    # Recompute the minimizing block for the witness vector.
-    rep = family.base
-    m = rho.dim_a
-    rot = kron(np.eye(m), family.unitaries[idx])
-    out = apply_map(extend_map(rep, m), rot @ rho.mat @ rot.conj().T)
-    vals, vecs = hermitian_eig(out)
-    min_eig = float(vals[0])
-    detected = min_eig < -tol * max(1.0, frobenius_norm(out))
-    return DetectionVerdict(
-        map_label=f"family({rep.label},a={len(family.unitaries)})",
-        min_eigenvalue=min_eig,
-        detected=detected,
-        witness=vecs[:, 0].copy() if detected else None,
-    )
+    return min(family_verdicts(rho, family, tol), key=lambda v: v.min_eigenvalue)
 
 
-STATE_GRAMMAR = """state spec grammar: NAME:KEY=VALUE,...
-  isotropic:n=3,p=0.9       bell:n=3
-  pure:m=3,n=3,r=2,seed=7   product:fileA=a.json,fileB=b.json
-  file:rho.json             ({"m":..,"n":..,"mat":<matrix>})"""
+def _product_from_files(file_a: str, file_b: str) -> DensityMatrix:
+    from . import serialize  # deferred; serialize needs DensityMatrix
+
+    return product_state(serialize.load_matrix(file_a), serialize.load_matrix(file_b))
+
+
+def _state_from_file(path: str) -> DensityMatrix:
+    from . import serialize
+
+    return serialize.load_state(path)
+
+
+# The state grammar: {name: (typed keys, constructor, help line)}; None
+# keys take the rest of the spec as one positional path.
+STATE_SPECS = {
+    "isotropic": (
+        {"n": int, "p": float},
+        lambda n, p: isotropic_state(n, float(p)),
+        "isotropic:n=3,p=0.9",
+    ),
+    "bell": ({"n": int}, bell_state, "bell:n=3"),
+    "pure": (
+        {"m": int, "n": int, "r": int, "seed": int},
+        lambda m, n, r, seed: DensityMatrix.from_pure(random_pure(m, n, r, seed), m, n),
+        "pure:m=3,n=3,r=2,seed=7",
+    ),
+    "product": (
+        {"fileA": str, "fileB": str},
+        _product_from_files,
+        "product:fileA=a.json,fileB=b.json",
+    ),
+    "file": (None, _state_from_file, 'file:rho.json  ({"m":..,"n":..,"mat":<matrix>})'),
+}
+STATE_GRAMMAR = grammar_text(STATE_SPECS, "state")
 
 
 def parse_state_spec(text: str) -> DensityMatrix:
     """Parse the state mini-grammar shared with the command line tool."""
-    from . import serialize
-    from .zoo import _parse_params, _take
-
-    spec = text.strip()
-    name, sep, rest = spec.partition(":")
-    name = name.strip()
-    if name == "file":
-        if not rest:
-            raise ParameterError(f"state spec {spec!r} needs a path\n{STATE_GRAMMAR}")
-        return serialize.load_state(rest)
-    params = _parse_params(rest)
-    if name == "isotropic":
-        state = isotropic_state(
-            _take(params, "n", spec, int), float(_take(params, "p", spec))
-        )
-    elif name == "bell":
-        state = bell_state(_take(params, "n", spec, int))
-    elif name == "pure":
-        m = _take(params, "m", spec, int)
-        n = _take(params, "n", spec, int)
-        r = _take(params, "r", spec, int)
-        seed = _take(params, "seed", spec, int)
-        state = DensityMatrix.from_pure(random_pure(m, n, r, seed), m, n)
-    elif name == "product":
-        a = serialize.load_matrix(str(_take(params, "fileA", spec, str)))
-        b = serialize.load_matrix(str(_take(params, "fileB", spec, str)))
-        state = product_state(a, b)
-    else:
-        raise ParameterError(f"unknown state name {name!r}\n{STATE_GRAMMAR}")
-    if params:
-        raise ParameterError(
-            f"unknown keys {sorted(params)} in state spec {spec!r}\n{STATE_GRAMMAR}"
-        )
-    return state
+    return parse_spec(text, STATE_SPECS, "state")[2]

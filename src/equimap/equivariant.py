@@ -44,9 +44,8 @@ from .linalg import (
     rng_from_seed,
     subseed,
 )
-from .perms import Permutation, enumerate_sym, gram_matrix, sigma_rep
+from .perms import MAX_REP_DIM, Permutation, enumerate_sym, gram_matrix, sigma_rep
 
-MAX_SPEC_DIM = 1024
 _PAIRING_RTOL = 1e-12
 _PINV_RCOND = 1e-10
 _CACHEABLE_DIM = 256
@@ -58,8 +57,8 @@ def _check_signature(n: int, a: int, b: int) -> int:
     if n < 2:
         raise ParameterError(f"dimension must be at least 2, got {n}")
     dim = n ** (a + b + 1)
-    if dim > MAX_SPEC_DIM:
-        raise CapacityError(f"n^(a+b+1) = {dim} exceeds the cap {MAX_SPEC_DIM}")
+    if dim > MAX_REP_DIM:
+        raise CapacityError(f"n^(a+b+1) = {dim} exceeds the cap {MAX_REP_DIM}")
     return dim
 
 

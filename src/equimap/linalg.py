@@ -15,7 +15,6 @@ import numpy as np
 from .errors import ContractViolation, ParameterError, ShapeError
 
 HERMITICITY_RTOL = 1e-12
-EIG_RESIDUAL_RTOL = 1e-10
 MAX_SEED = 2**64
 
 
@@ -99,23 +98,28 @@ def partial_transpose(M, shape: TensorShape, legs) -> np.ndarray:
     return np.ascontiguousarray(T).reshape(shape.total, shape.total)
 
 
+def check_hermitian(M: np.ndarray, what: str = "matrix") -> None:
+    """Raise ContractViolation unless max|M - M*| <= 1e-12 * (1 + max|entry|)."""
+    scale = 1.0 + float(np.abs(M).max()) if M.size else 1.0
+    asym = float(np.abs(M - M.conj().T).max()) if M.size else 0.0
+    if asym > HERMITICITY_RTOL * scale:
+        raise ContractViolation(
+            f"{what} is not Hermitian: max|M - M*| = {asym:.3e} "
+            f"exceeds {HERMITICITY_RTOL:.0e} * (1 + max|entry|)"
+        )
+
+
 def hermitian_eig(M):
     """Eigendecomposition of a Hermitian matrix.
 
-    The input must be Hermitian up to a relative 1e-12 tolerance; it is
-    symmetrized before the solve so downstream results are exactly real.
+    The input must pass check_hermitian; it is symmetrized before the
+    solve so downstream results are exactly real.
     Returns (eigenvalues ascending, eigenvector columns).
     """
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise ShapeError(f"eigendecomposition needs a square matrix, got {M.shape}")
-    scale = 1.0 + float(np.abs(M).max()) if M.size else 1.0
-    asym = float(np.abs(M - M.conj().T).max()) if M.size else 0.0
-    if asym > HERMITICITY_RTOL * scale:
-        raise ContractViolation(
-            f"matrix is not Hermitian: max|M - M*| = {asym:.3e} "
-            f"exceeds {HERMITICITY_RTOL:.0e} * (1 + max|entry|)"
-        )
+    check_hermitian(M)
     H = (M + M.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(H)
     return vals, vecs

@@ -12,6 +12,7 @@ import numpy as np
 from .errors import CapacityError, ParameterError
 
 MAX_SYM_DEGREE = 6
+# The one size budget for dense operators on (C^n)^{x k}: n^k <= 1024.
 MAX_REP_DIM = 1024
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -120,10 +121,6 @@ class Permutation:
             for i, p in enumerate(pts):
                 images[p - 1] = pts[(i + 1) % len(pts)] - 1
         return cls(tuple(images))
-
-
-def cycle_count(perm: Permutation) -> int:
-    return perm.cycle_count()
 
 
 def enumerate_sym(k: int) -> list[Permutation]:

@@ -22,13 +22,20 @@ DEFAULT_TOL = 1e-9
 FALSIFY_EIG_CUTOFF = -1e-10
 
 
-def is_psd(M, tol: float = DEFAULT_TOL):
-    """(flag, min eigenvalue); flag means minEig >= -tol * max(1, ||M||_F)."""
+def psd_eig(M, tol: float = DEFAULT_TOL):
+    """The one positivity verdict of the package: (passed, eigenvalues
+    ascending, eigenvector columns) of Hermitian M, where passed means
+    minEig >= -tol * max(1, ||M||_F)."""
     if tol < 0:
         raise ParameterError(f"tolerance must be nonnegative, got {tol}")
-    vals, _ = hermitian_eig(M)
-    min_eig = float(vals[0])
-    return min_eig >= -tol * max(1.0, frobenius_norm(M)), min_eig
+    vals, vecs = hermitian_eig(M)
+    return float(vals[0]) >= -tol * max(1.0, frobenius_norm(M)), vals, vecs
+
+
+def is_psd(M, tol: float = DEFAULT_TOL):
+    """(flag, min eigenvalue) under the psd_eig rule."""
+    flag, vals, _ = psd_eig(M, tol)
+    return flag, float(vals[0])
 
 
 def _require_block_criterion(rep: MapRep) -> None:
@@ -108,10 +115,11 @@ def k_positivity_falsify(
     Samples uniform random pure states psi on C^k x C^n, applies
     id_k x Phi to the projector, and reports the bottom eigenvector if
     its eigenvalue drops below -1e-10.  Needs no equivariance assumption,
-    so it cross-checks the block criterion on an independent route.
+    so it cross-checks the block criterion on an independent route.  k
+    ranges over 1..n: n-positivity is already complete positivity.
     """
-    if k < 1:
-        raise ParameterError(f"k must be positive, got {k}")
+    if not 1 <= k <= rep.n:
+        raise ParameterError(f"k = {k} outside 1..{rep.n}")
     if trials < 1:
         raise ParameterError(f"trial count must be positive, got {trials}")
     ext = extend_map(rep, k)

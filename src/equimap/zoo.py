@@ -26,6 +26,7 @@ from .equivariant import (
     build_equivariant,
     check_ab_equivariance,
 )
+from .grammar import grammar_text, parse_spec
 from .linalg import as_matrix, frobenius_norm, kron, matrix_rank
 from .perms import Permutation
 from .positivity import DEFAULT_TOL, k_positivity
@@ -146,16 +147,15 @@ def collins_map(n: int, alpha: float, beta: float, allow_small_n: bool = False) 
     beta on (2 3).  Stated for n >= 3; pass allow_small_n=True to
     explore n = 2 (labelled unvalidated).
     """
-    return collins3_map(n, alpha, beta, 0.0, allow_small_n=allow_small_n, _two_param=True)
+    rep = collins3_map(n, alpha, beta, 0.0, allow_small_n=allow_small_n)
+    suffix = ",unvalidated-n" if n < 3 else ""
+    return replace(
+        rep, label=f"collins(n={n},alpha={_fmt(alpha)},beta={_fmt(beta)}{suffix})"
+    )
 
 
 def collins3_map(
-    n: int,
-    alpha: float,
-    beta: float,
-    gamma: float,
-    allow_small_n: bool = False,
-    _two_param: bool = False,
+    n: int, alpha: float, beta: float, gamma: float, allow_small_n: bool = False
 ) -> MapRep:
     """Three-parameter extension of collins_map: adds
     gamma (B (1 x A) + (1 x A) B), i.e. gamma on both 3-cycles."""
@@ -176,12 +176,9 @@ def collins3_map(
         coeffs[_S3_123] = float(gamma)
         coeffs[_S3_132] = float(gamma)
     rep = build_equivariant(EquivariantSpec(n=n, a=1, b=1, coeffs=coeffs))
-    name = "collins" if _two_param else "collins3"
-    params = f"n={n},alpha={_fmt(alpha)},beta={_fmt(beta)}"
-    if not _two_param:
-        params += f",gamma={_fmt(gamma)}"
+    params = f"n={n},alpha={_fmt(alpha)},beta={_fmt(beta)},gamma={_fmt(gamma)}"
     suffix = ",unvalidated-n" if n < 3 else ""
-    return _verified(replace(rep, label=f"{name}({params}{suffix})"))
+    return _verified(replace(rep, label=f"collins3({params}{suffix})"))
 
 
 def conjugation_map(M) -> MapRep:
@@ -221,93 +218,47 @@ class ZooEntry:
     rep: MapRep
 
 
-MAP_GRAMMAR = """map spec grammar: NAME[:KEY=VALUE,...]
-  identity:n=3              transpose:n=3
-  choi:n=3                  tomiyama:n=3,lambda=1.2
-  bhat:n=3,alpha=1,beta=0   collins:n=3,alpha=2,beta=-1
-  collins3:n=3,alpha=2,beta=-1,gamma=0.5
-  conj:file=A.json          (matrix JSON file)"""
+def _conj_from_file(path: str) -> MapRep:
+    from . import serialize  # deferred; serialize needs MapRep
+
+    return conjugation_map(serialize.load_matrix(path))
 
 
-def _parse_params(text: str) -> dict:
-    params: dict = {}
-    if not text:
-        return params
-    for item in text.split(","):
-        if "=" not in item:
-            raise ParameterError(f"expected KEY=VALUE, got {item!r}\n{MAP_GRAMMAR}")
-        key, value = item.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
-            raise ParameterError(f"empty key or value in {item!r}\n{MAP_GRAMMAR}")
-        try:
-            params[key] = int(value)
-        except ValueError:
-            try:
-                params[key] = float(value)
-            except ValueError:
-                params[key] = value
-    return params
-
-
-def _take(params: dict, name: str, spec: str, kind=float):
-    if name not in params:
-        raise ParameterError(f"map spec {spec!r} is missing {name!r}\n{MAP_GRAMMAR}")
-    value = params.pop(name)
-    if kind is int and not isinstance(value, int):
-        raise ParameterError(f"{name} must be an integer in {spec!r}")
-    if kind is float and isinstance(value, str):
-        raise ParameterError(f"{name} must be a number in {spec!r}")
-    return value
+# The map grammar: {name: (typed keys, constructor, help line)}.  The
+# lambdas look constructors up when called, so a module-level wrapper
+# (such as perfbench's span recorder) sees spec-built maps too.
+MAP_SPECS = {
+    "identity": ({"n": int}, lambda n: identity_map(n), "identity:n=3"),
+    "transpose": ({"n": int}, lambda n: transpose_map(n), "transpose:n=3"),
+    "choi": ({"n": int}, lambda n: choi_map(n), "choi:n=3"),
+    "tomiyama": (
+        {"n": int, "lambda": float},
+        lambda n, lam: tomiyama_map(n, lam),
+        "tomiyama:n=3,lambda=1.2",
+    ),
+    "bhat": (
+        {"n": int, "alpha": float, "beta": float},
+        lambda n, alpha, beta: bhat_map(n, alpha, beta),
+        "bhat:n=3,alpha=1,beta=0",
+    ),
+    "collins": (
+        {"n": int, "alpha": float, "beta": float},
+        lambda n, alpha, beta: collins_map(n, alpha, beta),
+        "collins:n=3,alpha=2,beta=-1",
+    ),
+    "collins3": (
+        {"n": int, "alpha": float, "beta": float, "gamma": float},
+        lambda n, alpha, beta, gamma: collins3_map(n, alpha, beta, gamma),
+        "collins3:n=3,alpha=2,beta=-1,gamma=0.5",
+    ),
+    "conj": ({"file": str}, _conj_from_file, "conj:file=A.json  (matrix JSON file)"),
+}
+MAP_GRAMMAR = grammar_text(MAP_SPECS, "map")
 
 
 def parse_map_spec(text: str) -> ZooEntry:
     """Parse the NAME:KEY=VALUE,... grammar into a constructed map."""
-    from . import serialize  # deferred; serialize needs MapRep
-
-    spec = text.strip()
-    name, _, rest = spec.partition(":")
-    name = name.strip()
-    params = _parse_params(rest)
-    given = dict(params)
-    if name == "identity":
-        rep = identity_map(_take(params, "n", spec, int))
-    elif name == "transpose":
-        rep = transpose_map(_take(params, "n", spec, int))
-    elif name == "choi":
-        rep = choi_map(_take(params, "n", spec, int))
-    elif name == "tomiyama":
-        rep = tomiyama_map(_take(params, "n", spec, int), _take(params, "lambda", spec))
-    elif name == "bhat":
-        rep = bhat_map(
-            _take(params, "n", spec, int),
-            _take(params, "alpha", spec),
-            _take(params, "beta", spec),
-        )
-    elif name == "collins":
-        rep = collins_map(
-            _take(params, "n", spec, int),
-            _take(params, "alpha", spec),
-            _take(params, "beta", spec),
-        )
-    elif name == "collins3":
-        rep = collins3_map(
-            _take(params, "n", spec, int),
-            _take(params, "alpha", spec),
-            _take(params, "beta", spec),
-            _take(params, "gamma", spec),
-        )
-    elif name == "conj":
-        path = _take(params, "file", spec, str)
-        rep = conjugation_map(serialize.load_matrix(str(path)))
-    else:
-        raise ParameterError(f"unknown map name {name!r}\n{MAP_GRAMMAR}")
-    if params:
-        raise ParameterError(
-            f"unknown keys {sorted(params)} in map spec {spec!r}\n{MAP_GRAMMAR}"
-        )
-    return ZooEntry(name=name, params=given, rep=rep)
+    return ZooEntry(*parse_spec(text, MAP_SPECS, "map"))
 
 
 def positivity_scan(

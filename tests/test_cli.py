@@ -7,9 +7,11 @@ import pytest
 
 import equimap.cli as cli
 from equimap.choi import bell_matrix
+from equimap.detection import bell_state, detect_with_family, sampled_detector
 from equimap.serialize import matrix_to_json, save_json, spec_to_json
 from equimap.equivariant import EquivariantSpec
 from equimap.perms import Permutation
+from equimap.zoo import choi_map
 
 
 def run(capsys, *argv):
@@ -88,6 +90,19 @@ class TestReports:
             curve[i + 1]["minEig"] <= curve[i]["minEig"] + 1e-15
             for i in range(len(curve) - 1)
         )
+
+    def test_family_curve_uses_the_library_verdict(self, capsys):
+        # minEig is -1/3 on every point; at tol 0.2 the relative rule
+        # (threshold -0.2 * max(1, ||out||_F)) does not flag it.
+        report = run_json(
+            capsys, "family", "--map", "choi:n=3", "--state", "bell:n=3",
+            "--samples", "3", "--tol", "0.2",
+        )
+        for pt in report["results"]["curve"]:
+            family = sampled_detector(choi_map(3), pt["a"], seed=0)
+            verdict = detect_with_family(bell_state(3), family, tol=0.2)
+            assert pt["minEig"] == verdict.min_eigenvalue
+            assert pt["detected"] is verdict.detected is False
 
     def test_scan_grid(self, capsys):
         report = run_json(
@@ -227,6 +242,12 @@ class TestExitCodes:
             "--alpha", "0:2", "--beta", "0:1:2",
         )
         assert code == 1
+
+    def test_falsify_k_above_n_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "falsify", "--map", "choi:n=3", "--k", "200")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: k = 200 outside 1..3")
 
     def test_bad_seed(self, capsys):
         code, _, err = run(

@@ -10,7 +10,6 @@ from equimap.linalg import frobenius_norm, haar_unitary, kron_all, matrix_rank
 from equimap.perms import (
     MAX_SYM_DEGREE,
     Permutation,
-    cycle_count,
     enumerate_sym,
     gram_matrix,
     sigma_rep,
@@ -44,7 +43,6 @@ class TestPermutation:
         p = Permutation.from_cycles("(1 2 3)(4 5)", 6)
         assert p.cycles() == [(0, 1, 2), (3, 4), (5,)]
         assert p.cycle_count() == 3
-        assert cycle_count(p) == 3
         assert p.cycle_string() == "(1 2 3)(4 5)"
 
     def test_from_cycles_round_trips_everything_in_s4(self):

@@ -149,6 +149,12 @@ class TestFalsifier:
         with pytest.raises(ParameterError):
             k_positivity_falsify(rep, 2, trials=0)
 
+    def test_k_above_n_is_refused_before_allocating(self):
+        # k = n is already complete positivity; k = 200 would need a
+        # 1.89 TiB extended Choi matrix.
+        with pytest.raises(ParameterError, match="outside 1..3"):
+            k_positivity_falsify(choi_map(3), 200, trials=1)
+
 
 def test_default_tolerance_value():
     assert DEFAULT_TOL == 1e-9
