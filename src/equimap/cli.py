@@ -11,7 +11,8 @@ human rendering instead of the report and are not schema-stable.
 
 Exit codes: 0 success, 1 usage or parse error, 2 contract violation,
 3 internal numeric failure.  The EQUIMAP_TOL environment variable
-overrides the default positivity tolerance of 1e-9.
+overrides the default positivity tolerance of 1e-9 for the subcommands
+that take the shared --tol flag; the others do not read it.
 """
 
 from __future__ import annotations
@@ -108,8 +109,9 @@ _CHOI = _arg("--choi", required=True, metavar="FILE")
 _FORMAT = _arg("--format", choices=("json", "text", "dot"), default="json")
 
 # Every subcommand once: name -> (help, flags, handler).  A handler takes
-# the parsed arguments and the positivity tolerance and returns either a
-# results dict for the JSON report or raw text to print as is.
+# the parsed arguments and the positivity tolerance (None unless it
+# declares _TOL) and returns either a results dict for the JSON report or
+# raw text to print as is.
 COMMANDS: dict = {}
 
 
@@ -367,7 +369,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_fold_range_values(list(argv)))
-        tol = args.tol if getattr(args, "tol", None) is not None else default_tol()
+        tol = getattr(args, "tol", None)
+        if tol is None and _TOL in COMMANDS[args.command][1]:
+            tol = default_tol()
         out = _run(args, tol)
     except (_UsageError, ParameterError, CapacityError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -25,7 +25,6 @@ in the zoo; tests verify the table by brute force on matrix units.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -48,7 +47,6 @@ from .perms import MAX_REP_DIM, Permutation, enumerate_sym, gram_matrix, sigma_r
 
 _PAIRING_RTOL = 1e-12
 _PINV_RCOND = 1e-10
-_CACHEABLE_DIM = 256
 
 
 def _check_signature(n: int, a: int, b: int) -> int:
@@ -76,21 +74,30 @@ def choi_basis_element(n: int, a: int, b: int, perm: Permutation) -> np.ndarray:
     return partial_transpose(sigma_rep(perm, n), shape, range(1, a + 2))
 
 
-@lru_cache(maxsize=32)
-def _cached_basis(n: int, a: int, b: int) -> tuple[np.ndarray, ...]:
-    elems = tuple(
-        choi_basis_element(n, a, b, p) for p in enumerate_sym(a + b + 1)
-    )
-    for e in elems:
-        e.setflags(write=False)
-    return elems
+def index_map(n: int, a: int, b: int, perm: Permutation):
+    """Positions (rows, cols) of the n^(a+b+1) ones of the basis element
+    of perm, row-major in the row digits.
+
+    A column carries the row digits permuted by perm, then the row and
+    column digits trade places on the transposed legs 1..a+1.
+    """
+    k1 = a + b + 1
+    if perm.degree != k1:
+        raise ParameterError(
+            f"permutation degree {perm.degree} does not match a+b+1 = {k1}"
+        )
+    shape = (n,) * k1
+    digits = np.indices(shape).reshape(k1, -1)
+    permuted = digits[list(perm.images)]
+    rows = np.concatenate([permuted[: a + 1], digits[a + 1 :]])
+    cols = np.concatenate([digits[: a + 1], permuted[a + 1 :]])
+    return np.ravel_multi_index(rows, shape), np.ravel_multi_index(cols, shape)
 
 
 def basis_elements(n: int, a: int, b: int) -> tuple[np.ndarray, ...]:
-    """All (a+b+1)! basis elements in enumerate_sym order; cached for
-    small dimensions, recomputed otherwise."""
-    if _check_signature(n, a, b) <= _CACHEABLE_DIM:
-        return _cached_basis(n, a, b)
+    """All (a+b+1)! dense basis elements in enumerate_sym order, freshly
+    built on every call."""
+    _check_signature(n, a, b)
     return tuple(choi_basis_element(n, a, b, p) for p in enumerate_sym(a + b + 1))
 
 
@@ -130,20 +137,18 @@ class EquivariantSpec:
         return self.a + self.b
 
 
-def build_equivariant(spec: EquivariantSpec) -> MapRep:
+def build_equivariant(spec: EquivariantSpec, label: str = "") -> MapRep:
     """Synthesize the Choi matrix sum_pi f(pi) * basis element of pi."""
-    perms = enumerate_sym(spec.k + 1)
-    elems = basis_elements(spec.n, spec.a, spec.b)
     C = np.zeros((spec.n ** (spec.k + 1),) * 2, dtype=complex)
-    for p, E in zip(perms, elems):
+    for p in enumerate_sym(spec.k + 1):
         c = spec.coeffs.get(p, 0.0)
         if c != 0.0:
-            C += c * E
+            C[index_map(spec.n, spec.a, spec.b, p)] += c
     return MapRep(
         n=spec.n,
         N=spec.n**spec.k,
         choi=C,
-        label=f"equivariant(n={spec.n},a={spec.a},b={spec.b})",
+        label=label or f"equivariant(n={spec.n},a={spec.a},b={spec.b})",
         equivariance=Equivariance("ab", spec.a, spec.b),
     )
 
@@ -166,13 +171,13 @@ def decompose_equivariant(C, n: int, a: int, b: int):
     if C.shape != (dim, dim):
         raise ShapeError(f"matrix shape {C.shape} does not match n^(a+b+1) = {dim}")
     perms = enumerate_sym(k1)
-    elems = basis_elements(n, a, b)
+    maps = [index_map(n, a, b, p) for p in perms]
     G = gram_matrix(k1, n).mat
-    t = np.array([np.vdot(E, C) for E in elems])
+    t = np.array([C[m].sum() for m in maps])
     f = np.linalg.pinv(G, rcond=_PINV_RCOND) @ t
     recon = np.zeros_like(C)
-    for c, E in zip(f, elems):
-        recon += c * E
+    for c, m in zip(f, maps):
+        recon[m] += c
     residual = frobenius_norm(C - recon)
     return {p: complex(c) for p, c in zip(perms, f)}, float(residual)
 
@@ -202,6 +207,8 @@ def check_ab_equivariance(
         raise ShapeError(f"matrix shape {C.shape} does not match n^(a+b+1) = {dim}")
     if trials < 1:
         raise ParameterError(f"trial count must be positive, got {trials}")
+    if tol < 0:
+        raise ParameterError(f"tolerance must be nonnegative, got {tol}")
     base = max(1.0, frobenius_norm(C))
     worst = 0.0
     for t in range(trials):

@@ -109,18 +109,21 @@ def check_hermitian(M: np.ndarray, what: str = "matrix") -> None:
         )
 
 
-def hermitian_eig(M):
+def hermitian_eig(M, vectors: bool = True):
     """Eigendecomposition of a Hermitian matrix.
 
     The input must pass check_hermitian; it is symmetrized before the
     solve so downstream results are exactly real.
-    Returns (eigenvalues ascending, eigenvector columns).
+    Returns (eigenvalues ascending, eigenvector columns); the columns are
+    None when vectors is False, which skips computing them.
     """
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise ShapeError(f"eigendecomposition needs a square matrix, got {M.shape}")
     check_hermitian(M)
     H = (M + M.conj().T) / 2.0
+    if not vectors:
+        return np.linalg.eigvalsh(H), None
     vals, vecs = np.linalg.eigh(H)
     return vals, vecs
 

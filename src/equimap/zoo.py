@@ -1,5 +1,9 @@
-"""Named constructors for the concrete maps used throughout the package,
-each returning a MapRep with a verified equivariance declaration.
+"""Named constructors for the concrete maps used throughout the package.
+
+Every map of signature (a, b) is one coefficient table over the
+permutation basis, built by build_equivariant, so it carries its
+(a, b) declaration by construction; the tests run each constructor
+through check_ab_equivariance.
 
 All formulas act on A in M_n; B denotes the unnormalized Bell matrix.
 
@@ -15,46 +19,32 @@ All formulas act on A in M_n; B denotes the unnormalized Bell matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .choi import Equivariance, MapRep, bell_matrix
-from .errors import ContractViolation, ParameterError
-from .equivariant import (
-    EquivariantSpec,
-    build_equivariant,
-    check_ab_equivariance,
-)
+from .errors import ParameterError
+from .equivariant import EquivariantSpec, build_equivariant
 from .grammar import grammar_text, parse_spec
 from .linalg import as_matrix, frobenius_norm, kron, matrix_rank
 from .perms import Permutation
 from .positivity import DEFAULT_TOL, k_positivity
 
-_VERIFY_SEED = 0xA11CE
-_VERIFY_TRIALS = 4
-_VERIFY_TOL = 1e-9
 _UNITARY_TOL = 1e-6
+
+_S2_E = Permutation.identity(2)
+_S2_12 = Permutation((1, 0))
+_S3_E = Permutation.identity(3)
+_S3_12 = Permutation((1, 0, 2))
+_S3_13 = Permutation((2, 1, 0))
+_S3_23 = Permutation((0, 2, 1))
+_S3_123 = Permutation((1, 2, 0))
+_S3_132 = Permutation((2, 0, 1))
 
 
 def _fmt(x: float) -> str:
     return f"{x:g}"
-
-
-def _verified(rep: MapRep) -> MapRep:
-    # Constructors are closed formulas; this guards against regressions
-    # in the formulas themselves, not against user input.
-    eq = rep.equivariance
-    report = check_ab_equivariance(
-        rep.choi, rep.n, eq.a, eq.b,
-        trials=_VERIFY_TRIALS, seed=_VERIFY_SEED, tol=_VERIFY_TOL,
-    )
-    if not report.passed:
-        raise ContractViolation(
-            f"declared ({eq.a},{eq.b}) equivariance failed verification for "
-            f"{rep.label}: commutator norm {report.max_rel_commutator_norm:.3e}"
-        )
-    return rep
 
 
 def _check_n(n: int) -> None:
@@ -69,44 +59,29 @@ def _check_real(**params) -> None:
                 raise ParameterError(f"{name} must be real, got {value}")
 
 
+def _ab_map(n: int, a: int, b: int, coeffs: dict, label: str) -> MapRep:
+    return build_equivariant(EquivariantSpec(n=n, a=a, b=b, coeffs=coeffs), label=label)
+
+
 def identity_map(n: int) -> MapRep:
     """A -> A; Choi is the unnormalized Bell matrix."""
-    _check_n(n)
-    return _verified(MapRep(
-        n=n, N=n, choi=bell_matrix(n),
-        label=f"identity(n={n})",
-        equivariance=Equivariance("ab", 0, 1),
-    ))
+    return _ab_map(n, 0, 1, {_S2_12: 1.0}, f"identity(n={n})")
 
 
 def transpose_map(n: int) -> MapRep:
     """A -> A^t; Choi is the swap operator."""
-    _check_n(n)
-    return _verified(MapRep(
-        n=n, N=n, choi=_swap_matrix(n),
-        label=f"transpose(n={n})",
-        equivariance=Equivariance("ab", 1, 0),
-    ))
+    return _ab_map(n, 1, 0, {_S2_12: 1.0}, f"transpose(n={n})")
 
 
-def _swap_matrix(n: int) -> np.ndarray:
-    S = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            S[i * n + j, j * n + i] = 1.0
-    return S
+def _bhat(n: int, alpha: float, beta: float, label: str) -> MapRep:
+    return _ab_map(n, 0, 1, {_S2_E: beta, _S2_12: alpha}, label)
 
 
 def bhat_map(n: int, alpha: float, beta: float) -> MapRep:
     """A -> alpha A + beta Tr(A) 1; spans all maps of signature (0, 1)."""
-    _check_n(n)
     _check_real(alpha=alpha, beta=beta)
-    choi = float(alpha) * bell_matrix(n) + float(beta) * np.eye(n * n)
-    return _verified(MapRep(
-        n=n, N=n, choi=choi,
-        label=f"bhat(n={n},alpha={_fmt(alpha)},beta={_fmt(beta)})",
-        equivariance=Equivariance("ab", 0, 1),
-    ))
+    label = f"bhat(n={n},alpha={_fmt(alpha)},beta={_fmt(beta)})"
+    return _bhat(n, float(alpha), float(beta), label)
 
 
 def choi_map(n: int) -> MapRep:
@@ -114,9 +89,7 @@ def choi_map(n: int) -> MapRep:
 
     Equal to bhat_map(n, -1, n-1); (n-1)-positive but not n-positive.
     """
-    _check_n(n)
-    rep = bhat_map(n, -1.0, float(n - 1))
-    return replace(rep, label=f"choi(n={n})")
+    return _bhat(n, -1.0, float(n - 1), f"choi(n={n})")
 
 
 def tomiyama_map(n: int, lam: float) -> MapRep:
@@ -127,38 +100,11 @@ def tomiyama_map(n: int, lam: float) -> MapRep:
     """
     _check_n(n)
     _check_real(lam=lam)
-    rep = bhat_map(n, 1.0 - float(lam), float(lam) / n)
-    return replace(rep, label=f"tomiyama(n={n},lambda={_fmt(lam)})")
+    label = f"tomiyama(n={n},lambda={_fmt(lam)})"
+    return _bhat(n, 1.0 - float(lam), float(lam) / n, label)
 
 
-_S3_E = Permutation.identity(3)
-_S3_12 = Permutation((1, 0, 2))
-_S3_13 = Permutation((2, 1, 0))
-_S3_23 = Permutation((0, 2, 1))
-_S3_123 = Permutation((1, 2, 0))
-_S3_132 = Permutation((2, 0, 1))
-
-
-def collins_map(n: int, alpha: float, beta: float, allow_small_n: bool = False) -> MapRep:
-    """A -> A^t x 1 + 1 x A + Tr(A)(alpha 1 + beta B) on M_n -> M_{n^2}.
-
-    Built as the signature (1, 1) combination with coefficients 1 and 1
-    on the transpositions (1 2) and (1 3), alpha on the identity and
-    beta on (2 3).  Stated for n >= 3; pass allow_small_n=True to
-    explore n = 2 (labelled unvalidated).
-    """
-    rep = collins3_map(n, alpha, beta, 0.0, allow_small_n=allow_small_n)
-    suffix = ",unvalidated-n" if n < 3 else ""
-    return replace(
-        rep, label=f"collins(n={n},alpha={_fmt(alpha)},beta={_fmt(beta)}{suffix})"
-    )
-
-
-def collins3_map(
-    n: int, alpha: float, beta: float, gamma: float, allow_small_n: bool = False
-) -> MapRep:
-    """Three-parameter extension of collins_map: adds
-    gamma (B (1 x A) + (1 x A) B), i.e. gamma on both 3-cycles."""
+def _collins(name, params, n, alpha, beta, gamma, allow_small_n) -> MapRep:
     _check_n(n)
     _check_real(alpha=alpha, beta=beta, gamma=gamma)
     if n < 3 and not allow_small_n:
@@ -171,14 +117,32 @@ def collins3_map(
         _S3_13: 1.0,
         _S3_E: float(alpha),
         _S3_23: float(beta),
+        _S3_123: float(gamma),
+        _S3_132: float(gamma),
     }
-    if gamma != 0.0:
-        coeffs[_S3_123] = float(gamma)
-        coeffs[_S3_132] = float(gamma)
-    rep = build_equivariant(EquivariantSpec(n=n, a=1, b=1, coeffs=coeffs))
-    params = f"n={n},alpha={_fmt(alpha)},beta={_fmt(beta)},gamma={_fmt(gamma)}"
     suffix = ",unvalidated-n" if n < 3 else ""
-    return _verified(replace(rep, label=f"collins3({params}{suffix})"))
+    return _ab_map(n, 1, 1, coeffs, f"{name}({params}{suffix})")
+
+
+def collins_map(n: int, alpha: float, beta: float, allow_small_n: bool = False) -> MapRep:
+    """A -> A^t x 1 + 1 x A + Tr(A)(alpha 1 + beta B) on M_n -> M_{n^2}.
+
+    Built as the signature (1, 1) combination with coefficients 1 and 1
+    on the transpositions (1 2) and (1 3), alpha on the identity and
+    beta on (2 3).  Stated for n >= 3; pass allow_small_n=True to
+    explore n = 2 (labelled unvalidated).
+    """
+    params = f"n={n},alpha={_fmt(alpha)},beta={_fmt(beta)}"
+    return _collins("collins", params, n, alpha, beta, 0.0, allow_small_n)
+
+
+def collins3_map(
+    n: int, alpha: float, beta: float, gamma: float, allow_small_n: bool = False
+) -> MapRep:
+    """Three-parameter extension of collins_map: adds
+    gamma (B (1 x A) + (1 x A) B), i.e. gamma on both 3-cycles."""
+    params = f"n={n},alpha={_fmt(alpha)},beta={_fmt(beta)},gamma={_fmt(gamma)}"
+    return _collins("collins3", params, n, alpha, beta, gamma, allow_small_n)
 
 
 def conjugation_map(M) -> MapRep:

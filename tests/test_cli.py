@@ -276,3 +276,19 @@ class TestTolerancePlumbing:
         code, _, err = run(capsys, "kpos", "--map", "choi:n=3", "--k", "2")
         assert code == 1
         assert "EQUIMAP_TOL" in err
+
+    def test_env_is_not_read_without_the_tol_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("EQUIMAP_TOL", "not-a-number")
+        report = run_json(capsys, "basis", "--n", "2", "--a", "0", "--b", "1")
+        assert report["results"]["count"] == 2
+
+    def test_negative_equiv_tolerance_is_a_usage_error(self, capsys, tmp_path):
+        choi_path = tmp_path / "c.json"
+        save_json(str(choi_path), matrix_to_json(bell_matrix(2)))
+        code, out, err = run(
+            capsys, "equiv", "--choi", str(choi_path),
+            "--n", "2", "--a", "0", "--b", "1", "--tol", "-1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:")

@@ -16,7 +16,9 @@ from equimap.equivariant import (
     choi_basis_element,
     decompose_equivariant,
     find_equivariance_violation,
+    index_map,
 )
+from equimap.diagram import matrix_from_wiring, wiring
 from equimap.errors import CapacityError, ContractViolation, ParameterError, ShapeError
 from equimap.linalg import complex_gaussian, frobenius_norm, rng_from_seed
 from equimap.perms import Permutation, enumerate_sym
@@ -80,10 +82,39 @@ class TestBasisTables:
         with pytest.raises(ParameterError):
             choi_basis_element(3, 1, 1, Permutation.identity(2))
 
-    def test_cached_elements_are_read_only(self):
+    def test_mutating_a_returned_element_changes_no_later_result(self):
+        coeffs = {Permutation.identity(2): 1.0, _perm("(1 2)", 2): 0.5}
+        before = build_equivariant(EquivariantSpec(n=2, a=0, b=1, coeffs=coeffs)).choi
         e = basis_elements(2, 0, 1)[0]
-        with pytest.raises(ValueError):
-            e[0, 0] = 5.0
+        e[0, 0] = 5.0
+        e[1, 2] = -3.0
+        assert np.array_equal(basis_elements(2, 0, 1)[0], np.eye(4))
+        after = build_equivariant(EquivariantSpec(n=2, a=0, b=1, coeffs=coeffs)).choi
+        assert np.array_equal(after, before)
+
+
+class TestIndexMap:
+    """The index map of each basis element against the two dense oracles:
+    sigma_rep + partial_transpose and the wiring-diagram rebuild."""
+
+    SIGNATURES = [(a, k1 - 1 - a) for k1 in (1, 2, 3, 4) for a in range(k1)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("a,b", SIGNATURES)
+    def test_equals_dense_oracles(self, n, a, b):
+        dim = n ** (a + b + 1)
+        for p in enumerate_sym(a + b + 1):
+            rows, cols = index_map(n, a, b, p)
+            assert rows.shape == cols.shape == (dim,)
+            assert np.unique(rows * dim + cols).size == dim  # no repeated (row, col)
+            dense = np.zeros((dim, dim))
+            dense[rows, cols] = 1.0
+            assert np.array_equal(dense, choi_basis_element(n, a, b, p))
+            assert np.array_equal(dense, matrix_from_wiring(wiring(p, a, b), n))
+
+    def test_degree_mismatch_rejected(self):
+        with pytest.raises(ParameterError):
+            index_map(3, 1, 1, Permutation.identity(2))
 
 
 class TestSpec:
@@ -209,6 +240,10 @@ class TestCommutatorCheck:
     def test_trial_count_validated(self):
         with pytest.raises(ParameterError):
             check_ab_equivariance(np.eye(9), 3, 0, 1, trials=0)
+
+    def test_negative_tolerance_refused(self):
+        with pytest.raises(ParameterError, match="tolerance must be nonnegative"):
+            check_ab_equivariance(bell_matrix(2), 2, 0, 1, tol=-1.0)
 
 
 class TestRankWitness:

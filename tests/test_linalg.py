@@ -136,6 +136,17 @@ class TestHermitianEig:
         recon = (vecs * vals) @ vecs.conj().T
         assert frobenius_norm(recon - H) <= 1e-12 * max(1.0, frobenius_norm(H))
 
+    def test_values_only_match_the_full_solve(self):
+        # A different LAPACK path: equal to the full solve up to roundoff.
+        rng = _rng(32)
+        for dim in (1, 6, 40):
+            Z = complex_gaussian(rng, (dim, dim))
+            H = Z + Z.conj().T
+            vals, vecs = hermitian_eig(H, vectors=False)
+            assert vecs is None
+            full, _ = hermitian_eig(H)
+            assert np.max(np.abs(vals - full)) <= 1e-12 * max(1.0, frobenius_norm(H))
+
     def test_rejects_non_hermitian(self):
         M = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ContractViolation):

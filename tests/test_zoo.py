@@ -6,11 +6,12 @@ import pytest
 from helpers import raw_choi
 
 from equimap.choi import bell_matrix
-from equimap.equivariant import decompose_equivariant
+from equimap.equivariant import check_ab_equivariance, decompose_equivariant
 from equimap.errors import ParameterError
 from equimap.linalg import haar_unitary, rng_from_seed, complex_gaussian
 from equimap.perms import Permutation
 from equimap.zoo import (
+    MAP_SPECS,
     ZooEntry,
     bhat_map,
     choi_map,
@@ -124,6 +125,48 @@ class TestCollinsFamily:
             collins_map(2, 1.0, 1.0)
         rep = collins_map(2, 1.0, 1.0, allow_small_n=True)
         assert rep.label.endswith(",unvalidated-n)")
+
+
+# Every map-grammar constructor but conj declares an (a, b) signature.
+AB_SPECS = sorted(name for name in MAP_SPECS if name != "conj")
+
+
+class TestDeclaredEquivariance:
+    """Each constructor's Choi matrix commutes with
+    conj(U)^{x a+1} x U^{x b} for its declared (a, b)."""
+
+    TRIALS, SEED, TOL = 4, 0xA11CE, 1e-9
+
+    def _check(self, rep):
+        assert rep.equivariance.kind == "ab"
+        a, b = rep.equivariance.a, rep.equivariance.b
+        assert rep.N == rep.n ** (a + b)
+        report = check_ab_equivariance(
+            rep.choi, rep.n, a, b, trials=self.TRIALS, seed=self.SEED, tol=self.TOL
+        )
+        assert report.passed, (rep.label, report.max_rel_commutator_norm)
+
+    @pytest.mark.parametrize(
+        "name,n",
+        [
+            (name, n)
+            for name in AB_SPECS
+            for n in (2, 3, 4, 5, 6)
+            if n >= 3 or not name.startswith("collins")  # n = 2 below
+        ],
+    )
+    def test_spec_constructors(self, name, n):
+        keys, ctor, _ = MAP_SPECS[name]
+        params = len(keys) - 1  # real parameters after n
+        rng = rng_from_seed(1000 * n + len(name))
+        for _ in range(3 if params else 1):
+            values = rng.uniform(-2.0, 2.0, size=params).round(3)
+            self._check(ctor(n, *(float(v) for v in values)))
+
+    def test_collins_family_at_n_2(self):
+        for alpha, beta, gamma in [(2.0, -1.0, 0.5), (0.0, 0.0, 0.0), (-1.25, 0.75, -2.0)]:
+            self._check(collins_map(2, alpha, beta, allow_small_n=True))
+            self._check(collins3_map(2, alpha, beta, gamma, allow_small_n=True))
 
 
 class TestConjugation:
