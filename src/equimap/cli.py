@@ -9,10 +9,10 @@ The results payload is deterministic for identical arguments and seed;
 only elapsedMs varies.  --format text / dot (where offered) print a
 human rendering instead of the report and are not schema-stable.
 
-Exit codes: 0 success, 1 usage or parse error, 2 contract violation,
-3 internal numeric failure.  The EQUIMAP_TOL environment variable
-overrides the default positivity tolerance of 1e-9 for the subcommands
-that take the shared --tol flag; the others do not read it.
+Exit codes: 0 success, 1 usage or parse error (an input too large to
+allocate included), 2 contract violation, 3 internal numeric failure.
+EQUIMAP_TOL overrides the default positivity tolerance of 1e-9 for the
+subcommands that take the shared --tol flag; the others do not read it.
 """
 
 from __future__ import annotations
@@ -373,7 +373,7 @@ def main(argv=None) -> int:
         if tol is None and _TOL in COMMANDS[args.command][1]:
             tol = default_tol()
         out = _run(args, tol)
-    except (_UsageError, ParameterError, CapacityError, FileNotFoundError) as exc:
+    except (_UsageError, ParameterError, CapacityError, FileNotFoundError, MemoryError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:

@@ -15,22 +15,21 @@ import numpy as np
 from .choi import MapRep, apply_map, bell_matrix, extend_map
 from .errors import ContractViolation, ParameterError, ShapeError
 from .grammar import grammar_text, parse_spec
-from .linalg import as_matrix, haar_from_rng, hermitian_eig, kron, rng_from_seed, subseed
+from .linalg import as_matrix, haar_from_rng, kron, rng_from_seed, subseed
 from .positivity import DEFAULT_TOL, k_positivity, psd_eig
 
-_DENSITY_TRACE_TOL = 1e-10
-_DENSITY_EIG_FLOOR = -1e-10
+# Bound on |tr - 1| and the psd_eig tolerance of the density gate; any
+# matrix the gate accepts has ||rho||_F <= 1, so the floor is -1e-10.
+_DENSITY_TOL = 1e-10
 
 
 def _check_density(mat: np.ndarray, what: str = "matrix") -> None:
-    vals, _ = hermitian_eig(mat)  # enforces Hermiticity
+    passed, vals, _ = psd_eig(mat, _DENSITY_TOL, vectors=False)  # enforces Hermiticity
     tr = float(np.trace(mat).real)
-    if abs(tr - 1.0) > _DENSITY_TRACE_TOL:
+    if abs(tr - 1.0) > _DENSITY_TOL:
         raise ContractViolation(f"{what} has trace {tr!r}, expected 1")
-    if vals[0] < _DENSITY_EIG_FLOOR:
-        raise ContractViolation(
-            f"{what} has negative eigenvalue {vals[0]:.3e}"
-        )
+    if not passed:
+        raise ContractViolation(f"{what} has negative eigenvalue {vals[0]:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,26 +174,21 @@ def sn_certificate(
     if not 1 <= t <= rep.n:
         raise ParameterError(f"t = {t} outside 1..{rep.n}")
     t_pos, kpos_eig = k_positivity(rep, t, tol)
-    if not t_pos:
-        return SchmidtNumberCertificate(
-            certified=False, t=t, map_label=rep.label, t_positive=False,
-            kpos_min_eig=kpos_eig, detect_min_eig=None, claim=None,
-            reason=f"map is not {t}-positive (block min eigenvalue {kpos_eig:.3e}); "
-                   "no conclusion about the state",
-        )
-    verdict = detect(rho, rep, tol)
-    if not verdict.detected:
-        return SchmidtNumberCertificate(
-            certified=False, t=t, map_label=rep.label, t_positive=True,
-            kpos_min_eig=kpos_eig, detect_min_eig=verdict.min_eigenvalue,
-            claim=None,
-            reason="map did not detect the state; Schmidt number may still be small",
-        )
+    verdict = detect(rho, rep, tol) if t_pos else None
+    claim = None
+    if verdict is None:
+        reason = (f"map is not {t}-positive (block min eigenvalue {kpos_eig:.3e}); "
+                  "no conclusion about the state")
+    elif not verdict.detected:
+        reason = "map did not detect the state; Schmidt number may still be small"
+    else:
+        claim = f"schmidt number >= {t + 1}"
+        reason = f"{t}-positive map produced eigenvalue {verdict.min_eigenvalue:.3e} < 0"
     return SchmidtNumberCertificate(
-        certified=True, t=t, map_label=rep.label, t_positive=True,
-        kpos_min_eig=kpos_eig, detect_min_eig=verdict.min_eigenvalue,
-        claim=f"schmidt number >= {t + 1}",
-        reason=f"{t}-positive map produced eigenvalue {verdict.min_eigenvalue:.3e} < 0",
+        certified=claim is not None, t=t, map_label=rep.label, t_positive=t_pos,
+        kpos_min_eig=kpos_eig,
+        detect_min_eig=None if verdict is None else verdict.min_eigenvalue,
+        claim=claim, reason=reason,
     )
 
 

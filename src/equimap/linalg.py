@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ContractViolation, ParameterError, ShapeError
 
 HERMITICITY_RTOL = 1e-12
+DEFAULT_TOL = 1e-9
 MAX_SEED = 2**64
 
 
@@ -126,6 +127,17 @@ def hermitian_eig(M, vectors: bool = True):
         return np.linalg.eigvalsh(H), None
     vals, vecs = np.linalg.eigh(H)
     return vals, vecs
+
+
+def psd_eig(M, tol: float = DEFAULT_TOL, vectors: bool = True):
+    """The one positivity verdict of the package: (passed, eigenvalues
+    ascending, eigenvector columns) of Hermitian M, where passed means
+    minEig >= -tol * max(1, ||M||_F).  The columns are None when vectors
+    is False."""
+    if tol < 0:
+        raise ParameterError(f"tolerance must be nonnegative, got {tol}")
+    vals, vecs = hermitian_eig(M, vectors)
+    return float(vals[0]) >= -tol * max(1.0, frobenius_norm(M)), vals, vecs
 
 
 def frobenius_norm(M) -> float:

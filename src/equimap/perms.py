@@ -162,11 +162,13 @@ class GramMatrix:
 def gram_matrix(k: int, n: int) -> GramMatrix:
     if n < 2:
         raise ParameterError(f"leg dimension must be at least 2, got {n}")
-    perms = enumerate_sym(k)
-    inverses = [p.inverse() for p in perms]
-    size = len(perms)
-    G = np.empty((size, size))
-    for i in range(size):
-        for j in range(i, size):
-            G[i, j] = G[j, i] = float(n) ** inverses[i].compose(perms[j]).cycle_count()
-    return GramMatrix(degree=k, dim=n, mat=G)
+    images = np.array([p.images for p in enumerate_sym(k)])
+    comp = np.argsort(images, axis=1)[:, images]  # comp[i, j] = pi_i^(-1) o pi_j
+    # A point starts a cycle when no point of its orbit (closed within
+    # k - 1 steps) is smaller.
+    starts = np.ones(comp.shape, dtype=bool)
+    orbit = comp
+    for _ in range(k - 1):
+        starts &= orbit >= np.arange(k)
+        orbit = np.take_along_axis(comp, orbit, axis=2)
+    return GramMatrix(degree=k, dim=n, mat=float(n) ** starts.sum(axis=2))

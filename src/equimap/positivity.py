@@ -1,11 +1,12 @@
-"""k-positivity certification.
+"""k-positivity certification, read from the Choi matrix alone.
 
 For equivariant maps, k-positivity is equivalent to positive
 semidefiniteness of the block matrix [Phi(e_ij)]_{i,j=1..k}, i.e. the
 leading corner of the Choi matrix.  That equivalence is false for
-general maps, so the fast path is gated on an equivariance declaration;
-the definition-based falsifier below works for any map and provides the
-independent cross-check.
+general maps, so the fast path is gated on an equivariance declaration.
+The definition-based falsifier works for any map and provides the
+independent cross-check; it reads each output off the Choi matrix by
+congruence (choi_congruence).  Every verdict is one psd_eig call.
 """
 
 from __future__ import annotations
@@ -14,23 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import MapRep, apply_map, block_matrix, extend_map
+from .choi import MapRep, block_matrix
 from .errors import ContractViolation, ParameterError
-from .linalg import frobenius_norm, hermitian_eig, rng_from_seed, subseed, complex_gaussian
-
-DEFAULT_TOL = 1e-9
-FALSIFY_EIG_CUTOFF = -1e-10
-
-
-def psd_eig(M, tol: float = DEFAULT_TOL, vectors: bool = True):
-    """The one positivity verdict of the package: (passed, eigenvalues
-    ascending, eigenvector columns) of Hermitian M, where passed means
-    minEig >= -tol * max(1, ||M||_F).  The columns are None when vectors
-    is False."""
-    if tol < 0:
-        raise ParameterError(f"tolerance must be nonnegative, got {tol}")
-    vals, vecs = hermitian_eig(M, vectors)
-    return float(vals[0]) >= -tol * max(1.0, frobenius_norm(M)), vals, vecs
+from .linalg import DEFAULT_TOL, complex_gaussian, psd_eig, rng_from_seed, subseed
 
 
 def is_psd(M, tol: float = DEFAULT_TOL):
@@ -98,6 +85,14 @@ def positivity_profile(rep: MapRep, tol: float = DEFAULT_TOL) -> PositivityProfi
     )
 
 
+def choi_congruence(rep: MapRep, Psi) -> np.ndarray:
+    """(id_k x Phi)(psi psi*) for the pure state psi whose k x n reshaping
+    is Psi: the congruence (Psi x 1_N) C (Psi x 1_N)* of the Choi matrix."""
+    k, n, N = Psi.shape[0], rep.n, rep.N
+    half = (Psi @ rep.choi.reshape(n, N * n * N)).reshape(k * N, n, N)
+    return (Psi.conj() @ half).reshape(k * N, k * N)
+
+
 @dataclass(frozen=True, eq=False)
 class FalsificationWitness:
     """A random input state together with an output direction of
@@ -114,28 +109,23 @@ def k_positivity_falsify(
 ) -> FalsificationWitness | None:
     """Definition-based search for a k-positivity violation.
 
-    Samples uniform random pure states psi on C^k x C^n, applies
-    id_k x Phi to the projector, and reports the bottom eigenvector if
-    its eigenvalue drops below -1e-10.  Needs no equivariance assumption,
-    so it cross-checks the block criterion on an independent route.  k
-    ranges over 1..n: n-positivity is already complete positivity.
+    Samples uniform random pure states psi on C^k x C^n, which are
+    generally entangled, takes the output (id_k x Phi)(psi psi*) by
+    choi_congruence, and reports the bottom eigenvector of the first
+    output that fails psd_eig.  Needs no equivariance assumption, so it
+    cross-checks the block criterion on an independent route.  k ranges
+    over 1..n: n-positivity is already complete positivity.
     """
     if not 1 <= k <= rep.n:
         raise ParameterError(f"k = {k} outside 1..{rep.n}")
     if trials < 1:
         raise ParameterError(f"trial count must be positive, got {trials}")
-    ext = extend_map(rep, k)
     for t in range(trials):
-        rng = rng_from_seed(subseed(seed, t))
-        psi = complex_gaussian(rng, k * rep.n)
+        psi = complex_gaussian(rng_from_seed(subseed(seed, t)), k * rep.n)
         psi = psi / np.linalg.norm(psi)
-        out = apply_map(ext, np.outer(psi, psi.conj()))
-        vals, vecs = hermitian_eig(out)
-        if vals[0] < FALSIFY_EIG_CUTOFF:
+        passed, vals, vecs = psd_eig(choi_congruence(rep, psi.reshape(k, rep.n)))
+        if not passed:
             return FalsificationWitness(
-                trial=t,
-                state=psi,
-                witness=vecs[:, 0].copy(),
-                value=float(vals[0]),
+                trial=t, state=psi, witness=vecs[:, 0].copy(), value=float(vals[0])
             )
     return None

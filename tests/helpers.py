@@ -2,7 +2,9 @@
 
 raw_choi assembles sum_ij e_ij x f(e_ij) directly, with no Hermiticity
 gate, so individual non-self-adjoint maps (single 3-cycles) can be
-compared entrywise against basis elements.
+compared entrywise against basis elements.  pairwise_cycle_counts takes
+one Permutation.compose per pair, the loop that the vectorised
+perms.gram_matrix replaced.
 """
 
 import numpy as np
@@ -37,3 +39,16 @@ def random_paired_coeffs(k1, rng):
             coeffs[p] = c
             coeffs[q] = c.conjugate()
     return coeffs
+
+
+def pairwise_cycle_counts(k):
+    """cycles(pi_i^-1 o pi_j) over S_k, rows and columns in enumerate_sym
+    order; the Gram matrix for leg dimension n is n ** counts."""
+    perms = enumerate_sym(k)
+    inverses = [p.inverse() for p in perms]
+    size = len(perms)
+    counts = np.empty((size, size), dtype=int)
+    for i in range(size):
+        for j in range(i, size):
+            counts[i, j] = counts[j, i] = inverses[i].compose(perms[j]).cycle_count()
+    return counts

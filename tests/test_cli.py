@@ -1,10 +1,15 @@
 """Command line behavior: report schema, determinism, exit codes."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import equimap
 import equimap.cli as cli
 from equimap.choi import bell_matrix
 from equimap.detection import bell_state, detect_with_family, sampled_detector
@@ -254,6 +259,36 @@ class TestExitCodes:
             capsys, "falsify", "--map", "choi:n=3", "--k", "2", "--seed", "-1",
         )
         assert code == 1
+
+
+def _cap_address_space():
+    # Runs in the child between fork and exec, so only the child is capped.
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+class TestMemoryCap:
+    """Requests whose id_m x Phi would need 6.41 GiB, in a 3 GiB process."""
+
+    def _run_capped(self, *argv):
+        src = os.path.dirname(os.path.dirname(equimap.__file__))
+        return subprocess.run(
+            [sys.executable, "-m", "equimap.cli", *argv],
+            capture_output=True, text=True, timeout=120,
+            preexec_fn=_cap_address_space, env=dict(os.environ, PYTHONPATH=src),
+        )
+
+    def test_oversized_detect_is_a_usage_error(self):
+        res = self._run_capped("detect", "--state", "bell:n=12", "--map", "choi:n=12")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("usage error: Unable to allocate")
+
+    def test_falsifier_never_builds_the_ampliation(self):
+        res = self._run_capped(
+            "falsify", "--map", "choi:n=12", "--k", "12", "--trials", "3",
+        )
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["results"]["trials"] == 3
 
 
 class TestTolerancePlumbing:

@@ -3,6 +3,8 @@ and rank checks for (a, b)-equivariance."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_paired_coeffs, raw_choi
 
@@ -160,6 +162,20 @@ class TestBuildDecompose:
         assert rep.equivariance.kind == "ab"
         assert (rep.equivariance.a, rep.equivariance.b) == (a, b)
         out, residual = decompose_equivariant(rep.choi, n, a, b)
+        assert residual < 1e-10
+        for p, c in coeffs.items():
+            assert abs(out[p] - c) < 1e-8
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_decompose_inverts_build_property(self, data):
+        k1 = data.draw(st.integers(1, 4), label="a+b+1")
+        a = data.draw(st.integers(0, k1 - 1), label="a")
+        n = data.draw(st.integers(max(2, k1), 4), label="n")
+        rng = rng_from_seed(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        coeffs = random_paired_coeffs(k1, rng)
+        rep = build_equivariant(EquivariantSpec(n=n, a=a, b=k1 - 1 - a, coeffs=coeffs))
+        out, residual = decompose_equivariant(rep.choi, n, a, k1 - 1 - a)
         assert residual < 1e-10
         for p, c in coeffs.items():
             assert abs(out[p] - c) < 1e-8

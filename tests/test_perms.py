@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import pairwise_cycle_counts
+
 from equimap.errors import CapacityError, ParameterError
 from equimap.linalg import frobenius_norm, haar_unitary, kron_all, matrix_rank
 from equimap.perms import (
@@ -141,6 +143,12 @@ class TestGram:
                 for j, q in enumerate(perms):
                     expected = np.trace(sigma_rep(p, n).T @ sigma_rep(q, n))
                     assert G[i, j] == expected
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_matches_pairwise_composition(self, degree):
+        counts = pairwise_cycle_counts(degree)
+        for n in (2, 3, 4):
+            assert np.array_equal(gram_matrix(degree, n).mat, float(n) ** counts)
 
     @pytest.mark.parametrize(
         "degree,n,rank",

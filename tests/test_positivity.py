@@ -6,6 +6,8 @@ declaration, so the gate itself is part of the contract under test.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_paired_coeffs
 
@@ -15,12 +17,33 @@ from equimap.errors import ContractViolation, ParameterError
 from equimap.linalg import complex_gaussian, hermitian_eig, rng_from_seed
 from equimap.positivity import (
     DEFAULT_TOL,
+    choi_congruence,
     is_psd,
     k_positivity,
     k_positivity_falsify,
     positivity_profile,
 )
-from equimap.zoo import choi_map, identity_map, tomiyama_map, transpose_map
+from equimap.zoo import (
+    bhat_map,
+    choi_map,
+    collins3_map,
+    collins_map,
+    identity_map,
+    tomiyama_map,
+    transpose_map,
+)
+
+_REAL = st.floats(-2.0, 2.0, allow_nan=False)
+# Zoo maps small enough for the dense extend-then-apply oracle at k = n.
+_ZOO = st.one_of(
+    st.builds(identity_map, st.integers(2, 4)),
+    st.builds(transpose_map, st.integers(2, 4)),
+    st.builds(choi_map, st.integers(2, 4)),
+    st.builds(tomiyama_map, st.integers(2, 4), _REAL),
+    st.builds(bhat_map, st.integers(2, 4), _REAL, _REAL),
+    st.builds(collins_map, st.just(3), _REAL, _REAL),
+    st.builds(collins3_map, st.just(3), _REAL, _REAL, _REAL),
+)
 
 
 class TestIsPsd:
@@ -154,6 +177,43 @@ class TestFalsifier:
         # 1.89 TiB extended Choi matrix.
         with pytest.raises(ParameterError, match="outside 1..3"):
             k_positivity_falsify(choi_map(3), 200, trials=1)
+
+
+class TestFalsifierProperties:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(rep=_ZOO, data=st.data())
+    def test_congruence_equals_extend_then_apply(self, rep, data):
+        k = data.draw(st.integers(1, rep.n), label="k")
+        rng = rng_from_seed(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        psi = complex_gaussian(rng, k * rep.n)
+        psi /= np.linalg.norm(psi)
+        want = apply_map(extend_map(rep, k), np.outer(psi, psi.conj()))
+        got = choi_congruence(rep, psi.reshape(k, rep.n))
+        assert np.abs(got - want).max() < 1e-12
+
+    # For a (0,1) map A -> alpha A + beta Tr(A) 1 and a state psi of
+    # Schmidt rank k, the output alpha psi psi* + beta Tr_2(psi psi*) x 1
+    # is PSD exactly when the order-k block is, so a random state is a
+    # witness as soon as the block minimum clears the falsifier's
+    # tolerance (about 1e-8 here, where minima down to -1e-8 were seen
+    # to go unreported).  The margin 1e-6 keeps a factor 100 above that.
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(n=st.integers(2, 5), data=st.data())
+    def test_witness_exactly_when_block_fails(self, n, data):
+        k = data.draw(st.integers(1, n), label="k")
+        bound = 1 + 1 / (n * k - 1)  # tomiyama is k-positive up to here
+        rep = data.draw(st.one_of(
+            st.builds(tomiyama_map, st.just(n), st.floats(-1.0, 3.0)),
+            st.builds(tomiyama_map, st.just(n), st.floats(bound - 1e-2, bound + 1e-2)),
+            st.builds(bhat_map, st.just(n), _REAL, _REAL),
+        ), label="map")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        passed, block_min = k_positivity(rep, k)
+        witness = k_positivity_falsify(rep, k, trials=20, seed=seed)
+        if passed:
+            assert witness is None
+        if block_min < -1e-6:
+            assert witness is not None and witness.value < 0
 
 
 def test_default_tolerance_value():
