@@ -20,6 +20,7 @@ from .linalg import (
     frobenius_norm,
     rng_from_seed,
 )
+from .perms import check_budget
 
 _LINEARITY_SEED = 0x1D3A7
 _LINEARITY_PAIRS = 10
@@ -130,6 +131,7 @@ def choi_of_map(apply_fn, n: int, N: int, label: str = "", check: bool = True) -
     """
     if n < 1 or N < 1:
         raise ParameterError(f"dimensions must be positive, got n={n} N={N}")
+    check_budget(n * N, "the Choi matrix")
     if check:
         _check_linear(apply_fn, n, N)
     C = np.zeros((n * N, n * N), dtype=complex)

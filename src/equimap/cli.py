@@ -9,10 +9,14 @@ The results payload is deterministic for identical arguments and seed;
 only elapsedMs varies.  --format text / dot (where offered) print a
 human rendering instead of the report and are not schema-stable.
 
-Exit codes: 0 success, 1 usage or parse error (an input too large to
-allocate included), 2 contract violation, 3 internal numeric failure.
+Exit codes: 0 success, 1 usage or parse error (an input over the size
+budget included), 2 contract violation, 3 internal numeric failure.
+Sizes are refused by the budget before anything is allocated; the one
+dense operator outside it is the ampliation id_m x Phi that detect, sn
+and family build, whose MemoryError is also reported as a usage error.
 EQUIMAP_TOL overrides the default positivity tolerance of 1e-9 for the
 subcommands that take the shared --tol flag; the others do not read it.
+Every tolerance must be a finite nonnegative number.
 """
 
 from __future__ import annotations
@@ -37,10 +41,11 @@ from .diagram import render_dot, render_text, verify_wiring, wiring
 from .equivariant import (
     build_equivariant,
     check_ab_equivariance,
+    check_signature,
     decompose_equivariant,
 )
 from .errors import CapacityError, ContractViolation, EquimapError, ParameterError, ShapeError
-from .linalg import check_seed
+from .linalg import check_seed, check_tol
 from .perms import Permutation, enumerate_sym
 from .positivity import k_positivity, k_positivity_falsify, positivity_profile
 from .zoo import parse_map_spec, positivity_scan
@@ -59,12 +64,11 @@ def default_tol() -> float:
     raw = os.environ.get("EQUIMAP_TOL", "")
     if raw:
         try:
-            value = float(raw)
-        except ValueError:
-            raise _UsageError(f"EQUIMAP_TOL is not a number: {raw!r}") from None
-        if value < 0:
-            raise _UsageError(f"EQUIMAP_TOL must be nonnegative: {raw!r}")
-        return value
+            return check_tol(float(raw))
+        except (ValueError, ParameterError):
+            raise _UsageError(
+                f"EQUIMAP_TOL must be a nonnegative finite number, got {raw!r}"
+            ) from None
     return 1e-9
 
 
@@ -125,6 +129,7 @@ def _command(name: str, help_text: str, *flags):
 
 @_command("basis", "list the permutation basis for a signature", _N, _A, _B, _FORMAT)
 def _basis(args, tol):
+    check_signature(args.n, args.a, args.b)
     perms = enumerate_sym(args.a + args.b + 1)
     diagrams = [(p.cycle_string(), wiring(p, args.a, args.b)) for p in perms]
     if args.format == "text":

@@ -16,6 +16,7 @@ from .choi import MapRep, apply_map, bell_matrix, extend_map
 from .errors import ContractViolation, ParameterError, ShapeError
 from .grammar import grammar_text, parse_spec
 from .linalg import as_matrix, haar_from_rng, kron, rng_from_seed, subseed
+from .perms import check_budget
 from .positivity import DEFAULT_TOL, k_positivity, psd_eig
 
 # Bound on |tr - 1| and the psd_eig tolerance of the density gate; any
@@ -45,8 +46,8 @@ class DensityMatrix:
             raise ParameterError(
                 f"dimensions must be positive, got ({self.dim_a}, {self.dim_b})"
             )
+        d = check_budget(self.dim_a * self.dim_b, "the state")
         arr = as_matrix(self.mat)
-        d = self.dim_a * self.dim_b
         if arr.shape != (d, d):
             raise ShapeError(f"state shape {arr.shape} does not match {d} x {d}")
         _check_density(arr, "density matrix")
@@ -57,6 +58,7 @@ class DensityMatrix:
     @classmethod
     def from_pure(cls, psi, m: int, n: int) -> "DensityMatrix":
         psi = np.asarray(psi, dtype=complex).reshape(-1)
+        check_budget(psi.size, "the pure state")
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-10:
             raise ContractViolation(f"vector norm {norm!r} is not 1")
@@ -80,6 +82,7 @@ def isotropic_state(n: int, p: float) -> DensityMatrix:
     white noise; partial transposition detects it exactly for p > 1/(n+1)."""
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"mixing parameter must lie in [0, 1], got {p}")
+    check_budget(n * n, "the isotropic state")
     mat = p * bell_matrix(n) / n + (1.0 - p) * np.eye(n * n) / (n * n)
     return DensityMatrix(dim_a=n, dim_b=n, mat=mat)
 
@@ -92,6 +95,7 @@ def product_state(rho_a, rho_b) -> DensityMatrix:
     """Tensor product of two (validated) single-system states."""
     rho_a = as_matrix(rho_a)
     rho_b = as_matrix(rho_b)
+    check_budget(rho_a.shape[0] * rho_b.shape[0], "the product state")
     for mat, name in ((rho_a, "left factor"), (rho_b, "right factor")):
         if mat.shape[0] != mat.shape[1]:
             raise ShapeError(f"{name} is not square: {mat.shape}")
@@ -109,6 +113,7 @@ def random_pure(m: int, n: int, r: int, seed) -> np.ndarray:
     """
     if not 1 <= r <= min(m, n):
         raise ParameterError(f"Schmidt rank {r} outside 1..{min(m, n)}")
+    check_budget(m * n, "the pure state")
     rng = rng_from_seed(seed)
     lam = rng.uniform(0.5, 1.5, size=r)
     lam = lam / np.linalg.norm(lam)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .equivariant import choi_basis_element
 from .errors import ParameterError
-from .perms import Permutation
+from .perms import Permutation, check_budget
 
 LEFT = "L"
 RIGHT = "R"
@@ -100,6 +100,7 @@ def matrix_from_wiring(d: WiringDiagram, n: int) -> np.ndarray:
     if n < 2:
         raise ParameterError(f"leg dimension must be at least 2, got {n}")
     k1 = d.leg_count
+    dim = check_budget(n**k1, f"the wiring rebuild on (C^{n})^{{x {k1}}}")
 
     def axis(end: Endpoint) -> int:
         side, j = end
@@ -112,7 +113,6 @@ def matrix_from_wiring(d: WiringDiagram, n: int) -> np.ndarray:
         shape[a1] = n
         shape[a2] = n
         T = T * np.eye(n).reshape(shape)
-    dim = n**k1
     return T.reshape(dim, dim)
 
 

@@ -24,16 +24,18 @@ in the zoo; tests verify the table by brute force on matrix units.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
 from .choi import Equivariance, MapRep
-from .errors import CapacityError, ContractViolation, ParameterError, ShapeError
+from .errors import ContractViolation, ParameterError, ShapeError
 from .linalg import (
     TensorShape,
     as_matrix,
+    check_tol,
     complex_gaussian,
     frobenius_norm,
     haar_from_rng,
@@ -43,28 +45,27 @@ from .linalg import (
     rng_from_seed,
     subseed,
 )
-from .perms import MAX_REP_DIM, Permutation, enumerate_sym, gram_matrix, sigma_rep
+from .perms import Permutation, check_budget, enumerate_sym, gram_matrix, sigma_rep
 
 _PAIRING_RTOL = 1e-12
 _PINV_RCOND = 1e-10
 
 
-def _check_signature(n: int, a: int, b: int) -> int:
+def check_signature(n: int, a: int, b: int) -> int:
+    """Side n^(a+b+1) of the (a, b) operators on C^n, after checking the
+    signature and the size budget."""
     if a < 0 or b < 0:
         raise ParameterError(f"signature entries must be nonnegative, got ({a}, {b})")
     if n < 2:
         raise ParameterError(f"dimension must be at least 2, got {n}")
-    dim = n ** (a + b + 1)
-    if dim > MAX_REP_DIM:
-        raise CapacityError(f"n^(a+b+1) = {dim} exceeds the cap {MAX_REP_DIM}")
-    return dim
+    return check_budget(n ** (a + b + 1), f"signature (n, a, b) = ({n}, {a}, {b})")
 
 
 def choi_basis_element(n: int, a: int, b: int, perm: Permutation) -> np.ndarray:
     """Leg-permutation operator of S_{a+b+1}, partially transposed on
     legs 1..a+1.  These 0/1 matrices span the Choi matrices of all maps
     with (a, b)-equivariant commutation symmetry."""
-    _check_signature(n, a, b)
+    check_signature(n, a, b)
     k1 = a + b + 1
     if perm.degree != k1:
         raise ParameterError(
@@ -97,7 +98,7 @@ def index_map(n: int, a: int, b: int, perm: Permutation):
 def basis_elements(n: int, a: int, b: int) -> tuple[np.ndarray, ...]:
     """All (a+b+1)! dense basis elements in enumerate_sym order, freshly
     built on every call."""
-    _check_signature(n, a, b)
+    check_signature(n, a, b)
     return tuple(choi_basis_element(n, a, b, p) for p in enumerate_sym(a + b + 1))
 
 
@@ -116,7 +117,7 @@ class EquivariantSpec:
     coeffs: Mapping[Permutation, complex]
 
     def __post_init__(self):
-        _check_signature(self.n, self.a, self.b)
+        check_signature(self.n, self.a, self.b)
         k1 = self.a + self.b + 1
         coeffs = {p: complex(c) for p, c in self.coeffs.items()}
         object.__setattr__(self, "coeffs", coeffs)
@@ -125,6 +126,8 @@ class EquivariantSpec:
                 raise ParameterError(
                     f"permutation {p} has degree {p.degree}, expected {k1}"
                 )
+            if not cmath.isfinite(c):
+                raise ParameterError(f"coefficient of {p} is not finite: {c}")
             mate = coeffs.get(p.inverse(), 0.0)
             if abs(mate - c.conjugate()) > _PAIRING_RTOL * (1.0 + abs(c)):
                 raise ContractViolation(
@@ -164,10 +167,9 @@ def decompose_equivariant(C, n: int, a: int, b: int):
 
     Returns (coeffs dict in enumerate_sym order, residual Frobenius norm).
     """
-    _check_signature(n, a, b)
+    dim = check_signature(n, a, b)
     C = as_matrix(C)
     k1 = a + b + 1
-    dim = n**k1
     if C.shape != (dim, dim):
         raise ShapeError(f"matrix shape {C.shape} does not match n^(a+b+1) = {dim}")
     perms = enumerate_sym(k1)
@@ -200,15 +202,13 @@ def check_ab_equivariance(
 ) -> EquivarianceReport:
     """Sample Haar unitaries U and measure the worst relative norm of
     [C, conj(U)^{x a+1} x U^{x b}]."""
-    _check_signature(n, a, b)
+    dim = check_signature(n, a, b)
     C = as_matrix(C)
-    dim = n ** (a + b + 1)
     if C.shape != (dim, dim):
         raise ShapeError(f"matrix shape {C.shape} does not match n^(a+b+1) = {dim}")
     if trials < 1:
         raise ParameterError(f"trial count must be positive, got {trials}")
-    if tol < 0:
-        raise ParameterError(f"tolerance must be nonnegative, got {tol}")
+    check_tol(tol)
     base = max(1.0, frobenius_norm(C))
     worst = 0.0
     for t in range(trials):

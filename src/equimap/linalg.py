@@ -8,6 +8,7 @@ mean "A on leg 1, B on leg 2" with no index shuffling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,10 +101,11 @@ def partial_transpose(M, shape: TensorShape, legs) -> np.ndarray:
 
 
 def check_hermitian(M: np.ndarray, what: str = "matrix") -> None:
-    """Raise ContractViolation unless max|M - M*| <= 1e-12 * (1 + max|entry|)."""
+    """Raise ContractViolation unless max|M - M*| <= 1e-12 * (1 + max|entry|);
+    a NaN or infinite entry fails."""
     scale = 1.0 + float(np.abs(M).max()) if M.size else 1.0
     asym = float(np.abs(M - M.conj().T).max()) if M.size else 0.0
-    if asym > HERMITICITY_RTOL * scale:
+    if not asym <= HERMITICITY_RTOL * scale:
         raise ContractViolation(
             f"{what} is not Hermitian: max|M - M*| = {asym:.3e} "
             f"exceeds {HERMITICITY_RTOL:.0e} * (1 + max|entry|)"
@@ -129,13 +131,20 @@ def hermitian_eig(M, vectors: bool = True):
     return vals, vecs
 
 
+def check_tol(tol: float) -> float:
+    """Return tol, or raise ParameterError unless it is a finite
+    nonnegative number; the one tolerance rule of every verdict."""
+    if not 0.0 <= tol < math.inf:
+        raise ParameterError(f"tolerance must be nonnegative and finite, got {tol}")
+    return tol
+
+
 def psd_eig(M, tol: float = DEFAULT_TOL, vectors: bool = True):
     """The one positivity verdict of the package: (passed, eigenvalues
     ascending, eigenvector columns) of Hermitian M, where passed means
     minEig >= -tol * max(1, ||M||_F).  The columns are None when vectors
     is False."""
-    if tol < 0:
-        raise ParameterError(f"tolerance must be nonnegative, got {tol}")
+    check_tol(tol)
     vals, vecs = hermitian_eig(M, vectors)
     return float(vals[0]) >= -tol * max(1.0, frobenius_norm(M)), vals, vecs
 

@@ -3,17 +3,34 @@ Gram matrix of trace pairings between those operators."""
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from itertools import count
 from itertools import permutations as _all_permutations
 
 import numpy as np
 
 from .errors import CapacityError, ParameterError
 
-MAX_SYM_DEGREE = 6
-# The one size budget for dense operators on (C^n)^{x k}: n^k <= 1024.
+# The one size budget on the side of every dense operator a request sizes
+# (an (a, b) operator, a state, a Choi matrix, S_k); read only below.  The
+# ampliation id_m x Phi is still outside it: the one MemoryError source.
 MAX_REP_DIM = 1024
+
+
+def check_budget(side: int, what: str) -> int:
+    """Return side, or raise CapacityError when a dense operator of this
+    side would exceed the budget; call before allocating it."""
+    if side > MAX_REP_DIM:
+        raise CapacityError(
+            f"{what} needs a dense side of {side}, over the size cap MAX_REP_DIM = {MAX_REP_DIM}"
+        )
+    return side
+
+
+# S_k is k! elements with a k!-side Gram matrix, so the budget admits 6.
+MAX_SYM_DEGREE = next(k for k in count(1) if math.factorial(k + 1) > MAX_REP_DIM)
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -125,8 +142,9 @@ class Permutation:
 
 def enumerate_sym(k: int) -> list[Permutation]:
     """All of S_k in lexicographic order of image tuples; identity first."""
-    if not 1 <= k <= MAX_SYM_DEGREE:
-        raise CapacityError(f"degree {k} outside supported range 1..{MAX_SYM_DEGREE}")
+    if k < 1:
+        raise CapacityError(f"degree must be positive, got {k}")
+    check_budget(math.factorial(k), f"S_{k}")
     return [Permutation(p) for p in _all_permutations(range(k))]
 
 
@@ -139,9 +157,7 @@ def sigma_rep(perm: Permutation, n: int) -> np.ndarray:
     if n < 2:
         raise ParameterError(f"leg dimension must be at least 2, got {n}")
     k = perm.degree
-    dim = n**k
-    if dim > MAX_REP_DIM:
-        raise CapacityError(f"n^k = {dim} exceeds the dense cap {MAX_REP_DIM}")
+    dim = check_budget(n**k, f"a leg permutation on (C^{n})^{{x {k}}}")
     src = np.arange(dim).reshape((n,) * k)
     cols = np.transpose(src, axes=perm.inverse().images).reshape(-1)
     M = np.zeros((dim, dim))

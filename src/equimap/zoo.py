@@ -23,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import Equivariance, MapRep, bell_matrix
+from .choi import Equivariance, MapRep
 from .errors import ParameterError
 from .equivariant import EquivariantSpec, build_equivariant
 from .grammar import grammar_text, parse_spec
-from .linalg import as_matrix, frobenius_norm, kron, matrix_rank
-from .perms import Permutation
+from .linalg import as_matrix, frobenius_norm, matrix_rank
+from .perms import Permutation, check_budget
 from .positivity import DEFAULT_TOL, k_positivity
 
 _UNITARY_TOL = 1e-6
@@ -158,7 +158,10 @@ def conjugation_map(M) -> MapRep:
         raise ParameterError(f"conjugation needs a square matrix, got {M.shape}")
     n = M.shape[0]
     _check_n(n)
-    choi = kron(np.eye(n), M) @ bell_matrix(n) @ kron(np.eye(n), M).conj().T
+    check_budget(n * n, "the Choi matrix")
+    # C = v v* with v = sum_i e_i x M e_i, so entry (i, p) of v is M[p, i].
+    v = M.T.reshape(-1)
+    choi = np.outer(v, v.conj())
     if frobenius_norm(M.conj().T @ M - np.eye(n)) <= _UNITARY_TOL:
         eq = Equivariance("unitary")
     elif matrix_rank(M, 1e-10) == n:

@@ -60,6 +60,10 @@ class TestMapRep:
         with pytest.raises(ContractViolation):
             MapRep(n=2, N=2, choi=C)
 
+    def test_rejects_nan_entries(self):
+        with pytest.raises(ContractViolation):
+            MapRep(n=1, N=2, choi=[[np.nan, 0.0], [0.0, 1.0]])
+
     def test_tolerates_roundoff_asymmetry(self):
         C = np.eye(4, dtype=complex)
         C[0, 1] = 1e-14

@@ -260,6 +260,34 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        # n = 0 is no signature, and NaN and inf coefficients must not
+        # slip past a gate that compares with ">".
+        ("basis", "--n", "0", "--a", "0", "--b", "1"),
+        ("basis", "--n", "3", "--a", "3", "--b", "3"),
+        ("kpos", "--map", "tomiyama:n=3,lambda=nan", "--k", "1"),
+        ("kpos", "--map", "bhat:n=3,alpha=inf,beta=0", "--k", "1"),
+        ("scan", "--map", "collins", "--n", "3", "--alpha", "nan:1:2", "--beta", "0:1:1"),
+    ], ids=["basis-n0", "basis-over-budget", "tomiyama-nan", "bhat-inf", "scan-nan"])
+    def test_refused_before_any_report(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("detect", "--state", "isotropic:n=3,p=0.1", "--map", "identity:n=3"),
+        ("kpos", "--map", "transpose:n=3", "--k", "2"),
+    ], ids=["detect", "kpos"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_is_a_usage_error(self, capsys, argv, tol):
+        # Accepted, --tol nan would flag this separable state as entangled
+        # and --tol inf would pass the transpose map as 2-positive.
+        code, out, err = run(capsys, *argv, f"--tol={tol}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:")
+
 
 def _cap_address_space():
     # Runs in the child between fork and exec, so only the child is capped.
@@ -267,7 +295,9 @@ def _cap_address_space():
 
 
 class TestMemoryCap:
-    """Requests whose id_m x Phi would need 6.41 GiB, in a 3 GiB process."""
+    """Oversized requests in a 3 GiB process.  The size budget refuses
+    states and wiring rebuilds before allocating; the ampliation id_m x Phi
+    is outside it, so bell:n=12 (6.41 GiB) still ends in a MemoryError."""
 
     def _run_capped(self, *argv):
         src = os.path.dirname(os.path.dirname(equimap.__file__))
@@ -282,6 +312,25 @@ class TestMemoryCap:
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("usage error: Unable to allocate")
+
+    def test_oversized_state_is_refused_by_the_budget(self):
+        # Refused before a 3000 x 3000 Haar draw and a 19.3 GiB state.
+        res = self._run_capped(
+            "detect", "--state", "pure:m=3000,n=12,r=1,seed=1", "--map", "choi:n=12",
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("usage error:")
+        assert "MAX_REP_DIM = 1024" in res.stderr
+        assert "Unable to allocate" not in res.stderr
+
+    def test_oversized_wiring_rebuild_is_refused_by_the_budget(self):
+        res = self._run_capped("diagram", "--pi", "()", "--a", "7", "--b", "7")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("usage error:")
+        assert "MAX_REP_DIM = 1024" in res.stderr
+        assert "Unable to allocate" not in res.stderr
 
     def test_falsifier_never_builds_the_ampliation(self):
         res = self._run_capped(
@@ -311,6 +360,15 @@ class TestTolerancePlumbing:
         code, _, err = run(capsys, "kpos", "--map", "choi:n=3", "--k", "2")
         assert code == 1
         assert "EQUIMAP_TOL" in err
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "-1"])
+    def test_env_value_must_be_finite_and_nonnegative(self, capsys, monkeypatch, raw):
+        # Accepted, EQUIMAP_TOL=nan would fail the identity map at k = 1.
+        monkeypatch.setenv("EQUIMAP_TOL", raw)
+        code, out, err = run(capsys, "kpos", "--map", "identity:n=3", "--k", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: EQUIMAP_TOL")
 
     def test_env_is_not_read_without_the_tol_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("EQUIMAP_TOL", "not-a-number")

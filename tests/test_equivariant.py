@@ -134,6 +134,14 @@ class TestSpec:
         with pytest.raises(ContractViolation):
             EquivariantSpec(n=3, a=1, b=1, coeffs={_perm("(1 2)", 3): 1j})
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), complex(0.0, float("nan"))]
+    )
+    def test_non_finite_coefficients_refused(self, bad):
+        # The pairing check compares with ">", which is False for NaN.
+        with pytest.raises(ParameterError, match="not finite"):
+            EquivariantSpec(n=3, a=0, b=1, coeffs={_perm("()", 2): bad})
+
     def test_degree_mismatch(self):
         with pytest.raises(ParameterError):
             EquivariantSpec(n=3, a=0, b=1, coeffs={Permutation.identity(3): 1.0})
@@ -166,7 +174,7 @@ class TestBuildDecompose:
         for p, c in coeffs.items():
             assert abs(out[p] - c) < 1e-8
 
-    @settings(max_examples=40, derandomize=True, deadline=None)
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_decompose_inverts_build_property(self, data):
         k1 = data.draw(st.integers(1, 4), label="a+b+1")
@@ -260,6 +268,11 @@ class TestCommutatorCheck:
     def test_negative_tolerance_refused(self):
         with pytest.raises(ParameterError, match="tolerance must be nonnegative"):
             check_ab_equivariance(bell_matrix(2), 2, 0, 1, tol=-1.0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tolerance_refused(self, tol):
+        with pytest.raises(ParameterError, match="tolerance must be nonnegative and finite"):
+            check_ab_equivariance(bell_matrix(2), 2, 0, 1, tol=tol)
 
 
 class TestRankWitness:

@@ -125,7 +125,7 @@ def _spec(name, texts):
 
 
 @pytest.mark.parametrize("kind", sorted(GRAMMARS))
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_valid_specs_build_what_the_constructor_builds(files, kind, data):
     _, _, parse, payload = GRAMMARS[kind]
@@ -135,7 +135,7 @@ def test_valid_specs_build_what_the_constructor_builds(files, kind, data):
 
 
 @pytest.mark.parametrize("kind", sorted(GRAMMARS))
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_bad_keys_name_their_grammar(files, kind, data):
     table, grammar, parse, _ = GRAMMARS[kind]

@@ -17,6 +17,7 @@ from equimap.linalg import (
     kron_all,
     matrix_rank,
     partial_transpose,
+    psd_eig,
     rng_from_seed,
     subseed,
 )
@@ -161,6 +162,22 @@ class TestHermitianEig:
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):
             hermitian_eig(np.zeros((2, 3)))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_entries(self, bad):
+        # A gate written as "asym > bound" is False for NaN and lets it in.
+        H = np.eye(2, dtype=complex)
+        H[0, 0] = bad
+        with pytest.raises(ContractViolation):
+            hermitian_eig(H)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1e-12])
+def test_psd_eig_refuses_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    # Accepted, tol = nan would make every verdict "not PSD" and inf "PSD".
+    with pytest.raises(ParameterError, match="tolerance must be nonnegative and finite"):
+        psd_eig(np.eye(2), tol)
 
 
 def test_matrix_rank_counts_relative_singular_values():

@@ -180,7 +180,7 @@ class TestFalsifier:
 
 
 class TestFalsifierProperties:
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(rep=_ZOO, data=st.data())
     def test_congruence_equals_extend_then_apply(self, rep, data):
         k = data.draw(st.integers(1, rep.n), label="k")
@@ -197,7 +197,7 @@ class TestFalsifierProperties:
     # witness as soon as the block minimum clears the falsifier's
     # tolerance (about 1e-8 here, where minima down to -1e-8 were seen
     # to go unreported).  The margin 1e-6 keeps a factor 100 above that.
-    @settings(max_examples=120, derandomize=True, deadline=None)
+    @settings(max_examples=120)
     @given(n=st.integers(2, 5), data=st.data())
     def test_witness_exactly_when_block_fails(self, n, data):
         k = data.draw(st.integers(1, n), label="k")

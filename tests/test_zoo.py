@@ -190,6 +190,19 @@ class TestConjugation:
         with pytest.raises(ParameterError):
             conjugation_map(np.zeros((2, 3)))
 
+    def test_outer_product_matches_the_kron_form(self):
+        # The Choi matrix is v v* with v = M.T.reshape(-1); the dense
+        # kron(1, M) B kron(1, M)* is the oracle.  Summation order
+        # differs, so the match is to roundoff of ||M||^2.
+        rng = rng_from_seed(42)
+        for t in range(40):
+            n = 2 + t % 7
+            M = complex_gaussian(rng, (n, n))
+            K = np.kron(np.eye(n), M)
+            expect = K @ bell_matrix(n) @ K.conj().T
+            got = conjugation_map(M).choi
+            assert np.abs(got - expect).max() <= 1e-14 * np.linalg.norm(M) ** 2
+
 
 class TestParseMapSpec:
     def test_round_trips(self):
