@@ -26,19 +26,15 @@ _LINEARITY_SEED = 0x1D3A7
 _LINEARITY_PAIRS = 10
 _LINEARITY_TOL = 1e-10
 
-EQUIVARIANCE_KINDS = ("ab", "unitary", "equivariant", "not-equivariant")
-# Kinds for which the block compression criterion for k-positivity is sound.
-BLOCK_CRITERION_KINDS = ("ab", "unitary", "equivariant")
-
-
 @dataclass(frozen=True)
 class Equivariance:
-    """Declared symmetry class of a map.
+    """Declared symmetry of a map; any declaration makes the block
+    criterion for k-positivity sound.
 
     kind "ab" means Phi(U X U*) = (conj(U)^{x a} x U^{x b}) Phi(X) (...)*,
-    "unitary" means Phi(U X U*) = V(U) Phi(X) V(U)* for some unitary V(U),
-    "equivariant" means the same with merely invertible V(U), and
-    "not-equivariant" records a verified failure.
+    as build_equivariant produces; "equivariant" means
+    Phi(U X U*) = V(U) Phi(X) V(U)* for some invertible V(U), as
+    conjugation by an invertible matrix produces.
     """
 
     kind: str
@@ -46,19 +42,15 @@ class Equivariance:
     b: int | None = None
 
     def __post_init__(self):
-        if self.kind not in EQUIVARIANCE_KINDS:
+        if self.kind not in ("ab", "equivariant"):
             raise ParameterError(
-                f"equivariance kind {self.kind!r} not one of {EQUIVARIANCE_KINDS}"
+                f"equivariance kind {self.kind!r} is neither 'ab' nor 'equivariant'"
             )
         if self.kind == "ab":
             if self.a is None or self.b is None or self.a < 0 or self.b < 0:
                 raise ParameterError("kind 'ab' needs nonnegative a and b")
         elif self.a is not None or self.b is not None:
             raise ParameterError(f"kind {self.kind!r} takes no (a, b)")
-
-    @property
-    def supports_block_criterion(self) -> bool:
-        return self.kind in BLOCK_CRITERION_KINDS
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,18 +114,16 @@ def _check_linear(apply_fn, n: int, N: int) -> None:
             )
 
 
-def choi_of_map(apply_fn, n: int, N: int, label: str = "", check: bool = True) -> MapRep:
+def choi_of_map(apply_fn, n: int, N: int, label: str = "") -> MapRep:
     """Choi matrix of a callable acting on n x n matrices.
 
-    The callable is probed for linearity on seeded random pairs first
-    (disable with check=False when the caller guarantees it), then
-    evaluated on every matrix unit.
+    The callable is always probed for linearity on seeded random pairs
+    first, then evaluated on every matrix unit.
     """
     if n < 1 or N < 1:
         raise ParameterError(f"dimensions must be positive, got n={n} N={N}")
     check_budget(n * N, "the Choi matrix")
-    if check:
-        _check_linear(apply_fn, n, N)
+    _check_linear(apply_fn, n, N)
     C = np.zeros((n * N, n * N), dtype=complex)
     unit = np.zeros((n, n), dtype=complex)
     for i in range(n):

@@ -15,7 +15,15 @@ import numpy as np
 from .choi import MapRep, apply_map, bell_matrix, extend_map
 from .errors import ContractViolation, ParameterError, ShapeError
 from .grammar import grammar_text, parse_spec
-from .linalg import as_matrix, haar_from_rng, kron, rng_from_seed, subseed
+from .linalg import (
+    as_matrix,
+    check_rank_tol,
+    check_tol,
+    haar_from_rng,
+    kron,
+    rng_from_seed,
+    subseed,
+)
 from .perms import check_budget
 from .positivity import DEFAULT_TOL, k_positivity, psd_eig
 
@@ -67,6 +75,7 @@ class DensityMatrix:
 
 def schmidt_rank(psi, m: int, n: int, tol: float = 1e-9) -> int:
     """Number of singular values of the m x n matricization above tol."""
+    check_rank_tol(tol)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != m * n:
         raise ShapeError(f"vector length {psi.size} does not match m*n = {m * n}")
@@ -133,24 +142,32 @@ class DetectionVerdict:
     witness: np.ndarray | None
 
 
-def _verdict(label: str, out: np.ndarray, tol: float) -> DetectionVerdict:
-    passed, vals, vecs = psd_eig(out, tol)
-    return DetectionVerdict(
-        map_label=label,
-        min_eigenvalue=float(vals[0]),
-        detected=not passed,
-        witness=None if passed else vecs[:, 0].copy(),
-    )
+def _verdicts(rho: DensityMatrix, rep: MapRep, mats, label: str, tol: float):
+    """Verdicts of id_m x Phi on each matrix of mats, which live on the
+    spaces of rho.  Shapes and the tolerance are checked before the
+    ampliation is built, and it is built once."""
+    if rep.n != rho.dim_b:
+        raise ShapeError(
+            f"map acts on M_{rep.n} but the state's second factor is C^{rho.dim_b}"
+        )
+    check_tol(tol)
+    ext = extend_map(rep, rho.dim_a)
+    verdicts = []
+    for mat in mats:
+        passed, vals, vecs = psd_eig(apply_map(ext, mat), tol)
+        verdicts.append(DetectionVerdict(
+            map_label=label,
+            min_eigenvalue=float(vals[0]),
+            detected=not passed,
+            witness=None if passed else vecs[:, 0].copy(),
+        ))
+    return verdicts
 
 
 def detect(rho: DensityMatrix, rep: MapRep, tol: float = DEFAULT_TOL) -> DetectionVerdict:
     """Verdict of the map on the state: apply id_m x Phi and look for a
     negative eigenvalue below the psd_eig tolerance."""
-    if rep.n != rho.dim_b:
-        raise ShapeError(
-            f"map acts on M_{rep.n} but the state's second factor is C^{rho.dim_b}"
-        )
-    return _verdict(rep.label, apply_map(extend_map(rep, rho.dim_a), rho.mat), tol)
+    return _verdicts(rho, rep, [rho.mat], rep.label, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -224,20 +241,11 @@ def family_verdicts(
     rho: DensityMatrix, family: DetectorFamily, tol: float = DEFAULT_TOL
 ) -> list[DetectionVerdict]:
     """Per-unitary verdicts of id_m x phi on (1 x U_i) rho (1 x U_i)*."""
-    rep = family.base
-    if rep.n != rho.dim_b:
-        raise ShapeError(
-            f"family base acts on M_{rep.n} but the state's second factor is C^{rho.dim_b}"
-        )
-    m = rho.dim_a
-    ext = extend_map(rep, m)
-    eye = np.eye(m)
-    label = f"family({rep.label},a={len(family.unitaries)})"
-    verdicts = []
-    for U in family.unitaries:
-        rot = kron(eye, U)
-        verdicts.append(_verdict(label, apply_map(ext, rot @ rho.mat @ rot.conj().T), tol))
-    return verdicts
+    eye = np.eye(rho.dim_a)
+    rots = (kron(eye, U) for U in family.unitaries)
+    rotated = (rot @ rho.mat @ rot.conj().T for rot in rots)
+    label = f"family({family.base.label},a={len(family.unitaries)})"
+    return _verdicts(rho, family.base, rotated, label, tol)
 
 
 def family_block_minima(rho: DensityMatrix, family: DetectorFamily) -> np.ndarray:

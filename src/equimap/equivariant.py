@@ -35,6 +35,7 @@ from .errors import ContractViolation, ParameterError, ShapeError
 from .linalg import (
     TensorShape,
     as_matrix,
+    check_rank_tol,
     check_tol,
     complex_gaussian,
     frobenius_norm,
@@ -267,6 +268,7 @@ def find_equivariance_violation(
     """
     if n < 1:
         raise ParameterError(f"dimension must be positive, got {n}")
+    check_rank_tol(rank_tol)
 
     def probe(U, X, source, index):
         U = as_matrix(U)

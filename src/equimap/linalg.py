@@ -2,8 +2,10 @@
 
 Matrices on (C^n)^{x k} use big-endian flattening: the multi-index
 (i_1, ..., i_k) maps to sum_j i_j * n^(k-j), so leg 1 is the most
-significant digit.  This is numpy's C order, which makes kron(A, B)
-mean "A on leg 1, B on leg 2" with no index shuffling.
+significant digit.  This is numpy's C order, and numpy is its one
+encoding: legs are split by reshape((n,) * k) and joined by reshape or
+ravel_multi_index, and kron(A, B) means "A on leg 1, B on leg 2" with
+no index shuffling.
 """
 
 from __future__ import annotations
@@ -45,31 +47,9 @@ class TensorShape:
     def total(self) -> int:
         return self.dim**self.legs
 
-    def flatten(self, multi) -> int:
-        """Big-endian flat index of a multi-index (leg 1 first)."""
-        multi = tuple(int(i) for i in multi)
-        if len(multi) != self.legs:
-            raise ShapeError(f"expected {self.legs} indices, got {len(multi)}")
-        flat = 0
-        for i in multi:
-            if not 0 <= i < self.dim:
-                raise ShapeError(f"index {i} outside 0..{self.dim - 1}")
-            flat = flat * self.dim + i
-        return flat
-
-    def unflatten(self, flat: int) -> tuple[int, ...]:
-        flat = int(flat)
-        if not 0 <= flat < self.total:
-            raise ShapeError(f"flat index {flat} outside 0..{self.total - 1}")
-        out = []
-        for _ in range(self.legs):
-            flat, rem = divmod(flat, self.dim)
-            out.append(rem)
-        return tuple(reversed(out))
-
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product; big-endian block layout matches TensorShape."""
+    """Kronecker product: a on the leading (most significant) leg."""
     return np.kron(as_matrix(a), as_matrix(b))
 
 
@@ -153,10 +133,15 @@ def frobenius_norm(M) -> float:
     return float(np.linalg.norm(np.asarray(M)))
 
 
+def check_rank_tol(tol: float) -> None:
+    """Raise ParameterError unless the rank cutoff tol is finite and positive."""
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"rank tolerance must be positive and finite, got {tol}")
+
+
 def matrix_rank(M, tol: float = 1e-10) -> int:
     """Number of singular values above tol times the largest one."""
-    if tol <= 0:
-        raise ParameterError(f"rank tolerance must be positive, got {tol}")
+    check_rank_tol(tol)
     s = np.linalg.svd(as_matrix(M), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0

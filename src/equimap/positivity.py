@@ -28,8 +28,7 @@ def is_psd(M, tol: float = DEFAULT_TOL):
 
 
 def _require_block_criterion(rep: MapRep) -> None:
-    eq = rep.equivariance
-    if eq is None or not eq.supports_block_criterion:
+    if rep.equivariance is None:
         raise ContractViolation(
             "the block compression criterion is only sound for equivariant maps; "
             "this map carries no equivariance declaration "

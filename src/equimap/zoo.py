@@ -1,9 +1,10 @@
 """Named constructors for the concrete maps used throughout the package.
 
 Every map of signature (a, b) is one coefficient table over the
-permutation basis, built by build_equivariant, so it carries its
+permutation basis, keyed by cycle strings such as "(1 2 3)" as in
+coefficient files, and built by build_equivariant, so it carries its
 (a, b) declaration by construction; the tests run each constructor
-through check_ab_equivariance.
+through check_ab_equivariance.  Parameters must be real numbers.
 
 All formulas act on A in M_n; B denotes the unnormalized Bell matrix.
 
@@ -27,20 +28,12 @@ from .choi import Equivariance, MapRep
 from .errors import ParameterError
 from .equivariant import EquivariantSpec, build_equivariant
 from .grammar import grammar_text, parse_spec
-from .linalg import as_matrix, frobenius_norm, matrix_rank
-from .perms import Permutation, check_budget
+from .linalg import as_matrix, matrix_rank
+from .perms import check_budget, enumerate_sym
 from .positivity import DEFAULT_TOL, k_positivity
 
-_UNITARY_TOL = 1e-6
-
-_S2_E = Permutation.identity(2)
-_S2_12 = Permutation((1, 0))
-_S3_E = Permutation.identity(3)
-_S3_12 = Permutation((1, 0, 2))
-_S3_13 = Permutation((2, 1, 0))
-_S3_23 = Permutation((0, 2, 1))
-_S3_123 = Permutation((1, 2, 0))
-_S3_132 = Permutation((2, 0, 1))
+# Cycle string -> permutation, per degree a+b+1 of the zoo's signatures.
+_PERMS = {k: {p.cycle_string(): p for p in enumerate_sym(k)} for k in (2, 3)}
 
 
 def _fmt(x: float) -> str:
@@ -52,36 +45,35 @@ def _check_n(n: int) -> None:
         raise ParameterError(f"dimension must be at least 2, got {n}")
 
 
-def _check_real(**params) -> None:
+def _reals(**params) -> list[float]:
+    """The parameters as floats; a complex-typed value is refused."""
     for name, value in params.items():
-        if isinstance(value, complex):
-            if value.imag != 0:
-                raise ParameterError(f"{name} must be real, got {value}")
+        if isinstance(value, (complex, np.complexfloating)):
+            raise ParameterError(f"{name} must be real, got {value}")
+    return [float(v) for v in params.values()]
 
 
-def _ab_map(n: int, a: int, b: int, coeffs: dict, label: str) -> MapRep:
+def _ab_map(n: int, a: int, b: int, table: dict, label: str) -> MapRep:
+    """build_equivariant of a coefficient table keyed by cycle strings."""
+    coeffs = {_PERMS[a + b + 1][s]: c for s, c in table.items()}
     return build_equivariant(EquivariantSpec(n=n, a=a, b=b, coeffs=coeffs), label=label)
 
 
 def identity_map(n: int) -> MapRep:
     """A -> A; Choi is the unnormalized Bell matrix."""
-    return _ab_map(n, 0, 1, {_S2_12: 1.0}, f"identity(n={n})")
+    return _ab_map(n, 0, 1, {"(1 2)": 1.0}, f"identity(n={n})")
 
 
 def transpose_map(n: int) -> MapRep:
     """A -> A^t; Choi is the swap operator."""
-    return _ab_map(n, 1, 0, {_S2_12: 1.0}, f"transpose(n={n})")
-
-
-def _bhat(n: int, alpha: float, beta: float, label: str) -> MapRep:
-    return _ab_map(n, 0, 1, {_S2_E: beta, _S2_12: alpha}, label)
+    return _ab_map(n, 1, 0, {"(1 2)": 1.0}, f"transpose(n={n})")
 
 
 def bhat_map(n: int, alpha: float, beta: float) -> MapRep:
     """A -> alpha A + beta Tr(A) 1; spans all maps of signature (0, 1)."""
-    _check_real(alpha=alpha, beta=beta)
+    alpha, beta = _reals(alpha=alpha, beta=beta)
     label = f"bhat(n={n},alpha={_fmt(alpha)},beta={_fmt(beta)})"
-    return _bhat(n, float(alpha), float(beta), label)
+    return _ab_map(n, 0, 1, {"()": beta, "(1 2)": alpha}, label)
 
 
 def choi_map(n: int) -> MapRep:
@@ -89,7 +81,7 @@ def choi_map(n: int) -> MapRep:
 
     Equal to bhat_map(n, -1, n-1); (n-1)-positive but not n-positive.
     """
-    return _bhat(n, -1.0, float(n - 1), f"choi(n={n})")
+    return _ab_map(n, 0, 1, {"()": float(n - 1), "(1 2)": -1.0}, f"choi(n={n})")
 
 
 def tomiyama_map(n: int, lam: float) -> MapRep:
@@ -98,30 +90,22 @@ def tomiyama_map(n: int, lam: float) -> MapRep:
     k-positive exactly for 0 <= lam <= 1 + 1/(n k - 1), which makes the
     family sweep out every positivity degree as lam grows.
     """
-    _check_n(n)
-    _check_real(lam=lam)
+    (lam,) = _reals(lam=lam)
+    _check_n(n)  # before lam / n, which n = 0 would turn into ZeroDivisionError
     label = f"tomiyama(n={n},lambda={_fmt(lam)})"
-    return _bhat(n, 1.0 - float(lam), float(lam) / n, label)
+    return _ab_map(n, 0, 1, {"()": lam / n, "(1 2)": 1.0 - lam}, label)
 
 
 def _collins(name, params, n, alpha, beta, gamma, allow_small_n) -> MapRep:
-    _check_n(n)
-    _check_real(alpha=alpha, beta=beta, gamma=gamma)
     if n < 3 and not allow_small_n:
         raise ParameterError(
             f"this family is stated for n >= 3 (got n={n}); "
             "pass allow_small_n=True to explore anyway"
         )
-    coeffs = {
-        _S3_12: 1.0,
-        _S3_13: 1.0,
-        _S3_E: float(alpha),
-        _S3_23: float(beta),
-        _S3_123: float(gamma),
-        _S3_132: float(gamma),
-    }
+    table = {"()": alpha, "(1 2)": 1.0, "(1 3)": 1.0, "(2 3)": beta,
+             "(1 2 3)": gamma, "(1 3 2)": gamma}
     suffix = ",unvalidated-n" if n < 3 else ""
-    return _ab_map(n, 1, 1, coeffs, f"{name}({params}{suffix})")
+    return _ab_map(n, 1, 1, table, f"{name}({params}{suffix})")
 
 
 def collins_map(n: int, alpha: float, beta: float, allow_small_n: bool = False) -> MapRep:
@@ -132,6 +116,7 @@ def collins_map(n: int, alpha: float, beta: float, allow_small_n: bool = False) 
     beta on (2 3).  Stated for n >= 3; pass allow_small_n=True to
     explore n = 2 (labelled unvalidated).
     """
+    alpha, beta = _reals(alpha=alpha, beta=beta)
     params = f"n={n},alpha={_fmt(alpha)},beta={_fmt(beta)}"
     return _collins("collins", params, n, alpha, beta, 0.0, allow_small_n)
 
@@ -141,6 +126,7 @@ def collins3_map(
 ) -> MapRep:
     """Three-parameter extension of collins_map: adds
     gamma (B (1 x A) + (1 x A) B), i.e. gamma on both 3-cycles."""
+    alpha, beta, gamma = _reals(alpha=alpha, beta=beta, gamma=gamma)
     params = f"n={n},alpha={_fmt(alpha)},beta={_fmt(beta)},gamma={_fmt(gamma)}"
     return _collins("collins3", params, n, alpha, beta, gamma, allow_small_n)
 
@@ -148,10 +134,9 @@ def collins3_map(
 def conjugation_map(M) -> MapRep:
     """A -> M A M*.
 
-    Always completely positive.  For invertible M the map is
-    equivariant (conjugate the argument by U, the output by M U M^-1);
-    when M is moreover unitary the intertwiner is unitary too.  The
-    declaration records which case holds; singular M gets none.
+    Always completely positive.  For invertible M the map is declared
+    "equivariant": conjugating the argument by U conjugates the output
+    by M U M^-1.  Singular M gets no declaration.
     """
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
@@ -162,17 +147,8 @@ def conjugation_map(M) -> MapRep:
     # C = v v* with v = sum_i e_i x M e_i, so entry (i, p) of v is M[p, i].
     v = M.T.reshape(-1)
     choi = np.outer(v, v.conj())
-    if frobenius_norm(M.conj().T @ M - np.eye(n)) <= _UNITARY_TOL:
-        eq = Equivariance("unitary")
-    elif matrix_rank(M, 1e-10) == n:
-        eq = Equivariance("equivariant")
-    else:
-        eq = None
-    return MapRep(
-        n=n, N=n, choi=choi,
-        label=f"conj({n}x{n})",
-        equivariance=eq,
-    )
+    eq = Equivariance("equivariant") if matrix_rank(M, 1e-10) == n else None
+    return MapRep(n=n, N=n, choi=choi, label=f"conj({n}x{n})", equivariance=eq)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,9 +218,9 @@ def positivity_scan(
     for alpha in alphas:
         for beta in betas:
             if gamma is None:
-                rep = collins_map(n, float(alpha), float(beta))
+                rep = collins_map(n, alpha, beta)
             else:
-                rep = collins3_map(n, float(alpha), float(beta), float(gamma))
+                rep = collins3_map(n, alpha, beta, gamma)
             pos, e1 = k_positivity(rep, 1, tol)
             cp, en = k_positivity(rep, n, tol)
             row = {

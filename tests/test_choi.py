@@ -71,15 +71,16 @@ class TestMapRep:
         assert np.abs(rep.choi - rep.choi.conj().T).max() < 1e-12
 
     def test_equivariance_validation(self):
-        assert Equivariance("ab", 1, 1).supports_block_criterion
-        assert Equivariance("unitary").supports_block_criterion
-        assert not Equivariance("not-equivariant").supports_block_criterion
-        with pytest.raises(ParameterError):
-            Equivariance("nope")
+        eq = Equivariance("ab", 1, 1)
+        assert (eq.kind, eq.a, eq.b) == ("ab", 1, 1)
+        assert Equivariance("equivariant").kind == "equivariant"
+        for kind in ("unitary", "not-equivariant", "nope"):
+            with pytest.raises(ParameterError):
+                Equivariance(kind)
         with pytest.raises(ParameterError):
             Equivariance("ab")
         with pytest.raises(ParameterError):
-            Equivariance("unitary", 0, 1)
+            Equivariance("equivariant", 0, 1)
 
 
 class TestChoiOfMap:
@@ -112,16 +113,6 @@ class TestChoiOfMap:
     def test_rejects_wrong_output_shape(self):
         with pytest.raises(ShapeError):
             choi_of_map(lambda A: np.eye(3), 2, 2)
-
-    def test_check_flag_skips_probing(self):
-        calls = []
-
-        def fn(A):
-            calls.append(1)
-            return A
-
-        choi_of_map(fn, 2, 2, check=False)
-        assert len(calls) == 4  # matrix units only, no linearity probe
 
 
 class TestApply:

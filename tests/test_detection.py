@@ -9,6 +9,7 @@ from equimap.detection import (
     detect,
     detect_with_family,
     family_block_minima,
+    family_verdicts,
     isotropic_state,
     parse_state_spec,
     product_state,
@@ -65,6 +66,12 @@ class TestSchmidtRank:
             schmidt_rank(np.ones(4), 2, 2)
         with pytest.raises(ParameterError):
             random_pure(2, 2, 3, seed=0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # Accepted, tol = nan would count no singular value: rank 0.
+        with pytest.raises(ParameterError, match="rank tolerance"):
+            schmidt_rank(np.array([1.0, 0.0, 0.0, 0.0]), 2, 2, tol=tol)
 
     def test_random_pure_is_deterministic(self):
         assert np.array_equal(random_pure(3, 3, 2, 7), random_pure(3, 3, 2, 7))
@@ -192,6 +199,28 @@ class TestFamily:
             sampled_detector(choi_map(3), 0, seed=1)
         with pytest.raises(ShapeError):
             family_block_minima(bell_state(2), sampled_detector(choi_map(3), 2, seed=1))
+
+
+class TestToleranceBeforeAmpliation:
+    """detect, sn_certificate and family_verdicts refuse a bad tolerance
+    before id_m x Phi is built, which at n = 8 takes seconds."""
+
+    @pytest.fixture(autouse=True)
+    def _no_ampliation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the ampliation was built")
+
+        monkeypatch.setattr("equimap.detection.extend_map", refuse)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_refused(self, tol):
+        rho, rep = bell_state(3), choi_map(3)
+        with pytest.raises(ParameterError):
+            detect(rho, rep, tol)
+        with pytest.raises(ParameterError):
+            sn_certificate(rho, rep, 2, tol)
+        with pytest.raises(ParameterError):
+            family_verdicts(rho, sampled_detector(rep, 2, seed=1), tol)
 
 
 class TestParseStateSpec:

@@ -22,7 +22,7 @@ from equimap.equivariant import (
 )
 from equimap.diagram import matrix_from_wiring, wiring
 from equimap.errors import CapacityError, ContractViolation, ParameterError, ShapeError
-from equimap.linalg import complex_gaussian, frobenius_norm, rng_from_seed
+from equimap.linalg import check_hermitian, complex_gaussian, frobenius_norm, rng_from_seed
 from equimap.perms import Permutation, enumerate_sym
 
 
@@ -141,6 +141,38 @@ class TestSpec:
         # The pairing check compares with ">", which is False for NaN.
         with pytest.raises(ParameterError, match="not finite"):
             EquivariantSpec(n=3, a=0, b=1, coeffs={_perm("()", 2): bad})
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_accepted_exactly_when_the_built_choi_is_hermitian(self, data):
+        # n >= a+b+1 keeps the basis independent; for smaller n an
+        # unpaired table can still sum to a Hermitian matrix.
+        k1 = data.draw(st.integers(1, 3), label="a+b+1")
+        a = data.draw(st.integers(0, k1 - 1), label="a")
+        b = k1 - 1 - a
+        n = data.draw(st.integers(max(2, k1), 4), label="n")
+        rng = rng_from_seed(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        coeffs = random_paired_coeffs(k1, rng)
+        perturbed = data.draw(st.booleans(), label="perturbed")
+        if perturbed:
+            p = data.draw(st.sampled_from(enumerate_sym(k1)), label="pi")
+            size = data.draw(st.floats(1e-6, 1.0), label="size")
+            angle = data.draw(st.floats(0.0, 2 * np.pi), label="angle")
+            # A real shift leaves an involution's real coefficient paired.
+            coeffs[p] += 1j * size if p == p.inverse() else size * np.exp(1j * angle)
+        dense = sum(c * choi_basis_element(n, a, b, p) for p, c in coeffs.items())
+        try:
+            check_hermitian(dense)
+            hermitian = True
+        except ContractViolation:
+            hermitian = False
+        try:
+            EquivariantSpec(n=n, a=a, b=b, coeffs=coeffs)
+            accepted = True
+        except ContractViolation:
+            accepted = False
+        assert accepted == hermitian
+        assert accepted != perturbed
 
     def test_degree_mismatch(self):
         with pytest.raises(ParameterError):
@@ -312,6 +344,16 @@ class TestRankWitness:
         # Transpose is equivariant in the wider sense (intertwiner
         # conj(U)); ranks never move.
         assert find_equivariance_violation(lambda A: A.T, 3, trials=50, seed=1) is None
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rank_tolerance_must_be_finite_and_positive(self, tol):
+        # Accepted, rank_tol = nan would make every rank 0, so no probe
+        # could ever find a witness; the refusal comes before any probe.
+        def never(A):
+            raise AssertionError("probed")
+
+        with pytest.raises(ParameterError, match="rank tolerance"):
+            find_equivariance_violation(never, 2, rank_tol=tol)
 
     def test_trials_zero_means_candidates_only(self):
         assert find_equivariance_violation(lambda A: A + A.T, 2, trials=0) is None

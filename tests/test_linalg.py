@@ -28,26 +28,6 @@ def _rng(seed=0):
 
 
 class TestTensorShape:
-    def test_flatten_is_big_endian(self):
-        shape = TensorShape(legs=3, dim=2)
-        assert shape.flatten((1, 0, 1)) == 5
-        assert shape.flatten((0, 0, 0)) == 0
-        assert shape.flatten((1, 1, 1)) == 7
-
-    def test_flatten_unflatten_round_trip(self):
-        shape = TensorShape(legs=3, dim=3)
-        for flat in range(shape.total):
-            assert shape.flatten(shape.unflatten(flat)) == flat
-
-    def test_out_of_range_rejected(self):
-        shape = TensorShape(legs=2, dim=2)
-        with pytest.raises(ShapeError):
-            shape.flatten((0, 2))
-        with pytest.raises(ShapeError):
-            shape.flatten((0, 0, 0))
-        with pytest.raises(ShapeError):
-            shape.unflatten(4)
-
     def test_degenerate_parameters_rejected(self):
         with pytest.raises(ParameterError):
             TensorShape(legs=0, dim=2)
@@ -56,7 +36,7 @@ class TestTensorShape:
 
 
 def test_kron_left_factor_is_most_significant():
-    # kron(A, B)[flatten(i1,i2), flatten(j1,j2)] = A[i1,j1] B[i2,j2]
+    # kron(A, B)[i1*3 + i2, j1*3 + j2] = A[i1,j1] B[i2,j2]: big-endian legs
     rng = _rng(11)
     A = complex_gaussian(rng, (2, 2))
     B = complex_gaussian(rng, (3, 3))
@@ -188,6 +168,13 @@ def test_matrix_rank_counts_relative_singular_values():
     assert matrix_rank(np.eye(3), tol=1e-10) == 3
     with pytest.raises(ParameterError):
         matrix_rank(np.eye(2), tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_matrix_rank_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    # Accepted, tol = nan would count no singular value: rank 0.
+    with pytest.raises(ParameterError, match="rank tolerance must be positive and finite"):
+        matrix_rank(np.eye(3), tol=tol)
 
 
 def test_as_matrix_requires_two_dims():

@@ -70,13 +70,12 @@ class TestGate:
             positivity_profile(rep)
 
     def test_verified_failure_is_refused_too(self):
+        # A map known not to be equivariant carries no declaration: the
+        # kind that once recorded a verified failure is refused.
         from equimap.choi import Equivariance
 
-        rep = MapRep(
-            n=2, N=2, choi=np.eye(4), equivariance=Equivariance("not-equivariant")
-        )
-        with pytest.raises(ContractViolation):
-            k_positivity(rep, 1)
+        with pytest.raises(ParameterError):
+            Equivariance("not-equivariant")
 
     def test_falsifier_needs_no_declaration(self):
         rep = MapRep(n=2, N=2, choi=np.eye(4))

@@ -63,8 +63,22 @@ class TestElementaryMaps:
                 ctor(1)
 
     def test_complex_parameters_rejected(self):
-        with pytest.raises(ParameterError):
-            bhat_map(3, 1.0 + 1j, 0.0)
+        # A cast would raise TypeError for 1+0j, and turn np.complex64(1+2j)
+        # into 1.0 with only a ComplexWarning.
+        ctors = [
+            lambda z: bhat_map(3, z, 0.0),
+            lambda z: bhat_map(3, 0.0, z),
+            lambda z: tomiyama_map(3, z),
+            lambda z: collins_map(3, z, 0.0),
+            lambda z: collins3_map(3, 1.0, 0.0, z),
+        ]
+        for ctor in ctors:
+            for z in (1.0 + 1j, 1 + 0j, np.complex64(1 + 2j)):
+                with pytest.raises(ParameterError, match="must be real"):
+                    ctor(z)
+        # The scan hands its grid values to the same constructors.
+        with pytest.raises(ParameterError, match="must be real"):
+            positivity_scan(3, np.array([1 + 2j], dtype=np.complex64), [0.0])
 
 
 class TestCollinsFamily:
@@ -178,7 +192,7 @@ class TestConjugation:
         assert np.allclose(rep.choi, expect, atol=1e-13)
 
     def test_classification(self):
-        assert conjugation_map(haar_unitary(3, 40)).equivariance.kind == "unitary"
+        assert conjugation_map(haar_unitary(3, 40)).equivariance.kind == "equivariant"
         rng = rng_from_seed(41)
         M = complex_gaussian(rng, (3, 3))  # generic, invertible, not unitary
         assert conjugation_map(M).equivariance.kind == "equivariant"
