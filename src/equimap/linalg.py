@@ -20,6 +20,10 @@ from .errors import ContractViolation, ParameterError, ShapeError
 HERMITICITY_RTOL = 1e-12
 DEFAULT_TOL = 1e-9
 MAX_SEED = 2**64
+# Side from which hermitian_eig solves blocks apart.  Finding and solving
+# the blocks of a zoo corner took 0.2-0.35 ms: about even with a dense
+# eigvalsh at side 48, 1.5-2x faster at side 64 (one BLAS thread).
+BLOCK_MIN_SIDE = 48
 
 
 def as_matrix(values) -> np.ndarray:
@@ -80,16 +84,93 @@ def partial_transpose(M, shape: TensorShape, legs) -> np.ndarray:
     return np.ascontiguousarray(T).reshape(shape.total, shape.total)
 
 
-def check_hermitian(M: np.ndarray, what: str = "matrix") -> None:
-    """Raise ContractViolation unless max|M - M*| <= 1e-12 * (1 + max|entry|);
-    a NaN or infinite entry fails."""
-    scale = 1.0 + float(np.abs(M).max()) if M.size else 1.0
-    asym = float(np.abs(M - M.conj().T).max()) if M.size else 0.0
-    if not asym <= HERMITICITY_RTOL * scale:
+def _refuse_asymmetry(asym: float, top: float, what: str) -> None:
+    """The Hermiticity rule, given max|M - M*| and max|entry|."""
+    if not asym <= HERMITICITY_RTOL * (1.0 + top):
         raise ContractViolation(
             f"{what} is not Hermitian: max|M - M*| = {asym:.3e} "
             f"exceeds {HERMITICITY_RTOL:.0e} * (1 + max|entry|)"
         )
+
+
+def check_hermitian(M: np.ndarray, what: str = "matrix") -> None:
+    """Raise ContractViolation unless max|M - M*| <= 1e-12 * (1 + max|entry|);
+    a NaN or infinite entry fails."""
+    if M.size:
+        _refuse_asymmetry(
+            float(np.abs(M - M.conj().T).max()), float(np.abs(M).max()), what
+        )
+
+
+def _components(M: np.ndarray) -> np.ndarray:
+    """Label each index of square M by the smallest index of its connected
+    component in the symmetrised nonzero pattern (M != 0) or (M^T != 0).
+
+    Label propagation with pointer jumping: each round hooks the larger
+    label of every nonzero position to the smaller one, keeping the
+    smallest, then follows pointers until each index points at a root.
+    A path of side 4096 takes 1 round in index order and took 8 in three
+    random orders.
+    """
+    side = M.shape[0]
+    if (M[0] != 0).all():
+        # Row 0 links every index to index 0; this spares a dense matrix
+        # the search, which cost it about a third of its solve time.
+        return np.zeros(side, dtype=int)
+    rows, cols = np.divmod(np.flatnonzero(M != 0), side)
+    label = np.arange(side)
+    while True:
+        a, b = label[rows], label[cols]
+        hooked = label.copy()
+        np.minimum.at(hooked, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = hooked[hooked]
+            if (jumped == hooked).all():
+                break
+            hooked = jumped
+        if not hooked.any() or (hooked == label).all():
+            return hooked
+        label = hooked
+
+
+def _block_eig(M: np.ndarray, label: np.ndarray, vectors: bool):
+    """hermitian_eig of M solved per component of label: equal-sized
+    blocks are checked, symmetrised and solved in one stacked call, and
+    eigenvectors are scattered back into their rows."""
+    counts = np.bincount(label)
+    sizes = counts[counts > 0]
+    order = np.argsort(label, kind="stable")
+    first = np.cumsum(sizes) - sizes
+    groups = []  # (indices, blocks, their adjoints), one per block side
+    for side in np.unique(sizes):
+        idx = order[first[sizes == side][:, None] + np.arange(side)]
+        B = M[idx[:, :, None], idx[:, None, :]]
+        groups.append((idx, B, B.conj().swapaxes(1, 2)))
+    # check_hermitian(M) read on the blocks: every entry outside them is
+    # zero in M and in M*, so the verdict and message are its own.  The
+    # scale stays the whole matrix's max|entry|, not each block's.
+    _refuse_asymmetry(
+        float(np.max([np.abs(B - BH).max() for _, B, BH in groups])),
+        float(np.max([np.abs(B).max() for _, B, _ in groups])),
+        "matrix",
+    )
+    solved = [
+        np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
+        for H in ((B + BH) / 2.0 for _, B, BH in groups)
+    ]
+    vals = np.concatenate([w.ravel() for w, _ in solved])
+    rank = np.argsort(vals, kind="stable")
+    if not vectors:
+        return vals[rank], None
+    column = np.empty_like(rank)
+    column[rank] = np.arange(rank.size)
+    vecs = np.zeros(M.shape, dtype=complex)
+    start = 0
+    for (idx, _, _), (w, v) in zip(groups, solved):
+        cols = column[start : start + w.size].reshape(w.shape)
+        vecs[idx[:, :, None], cols[:, None, :]] = v
+        start += w.size
+    return vals[rank], vecs
 
 
 def hermitian_eig(M, vectors: bool = True):
@@ -99,10 +180,24 @@ def hermitian_eig(M, vectors: bool = True):
     solve so downstream results are exactly real.
     Returns (eigenvalues ascending, eigenvector columns); the columns are
     None when vectors is False, which skips computing them.
+
+    From side BLOCK_MIN_SIDE up, the matrix is split into the connected
+    components of its symmetrised nonzero pattern (M != 0 or M^T != 0):
+    after a permutation it is block diagonal.  Equal-sized blocks are
+    solved in one stacked call, and each eigenvector is supported on its
+    block's indices.  Hermiticity is judged on the blocks against the whole
+    matrix's max|entry|, so verdicts and messages are check_hermitian's.
+    Eigenvalues equal the dense solve's up to rounding;
+    the eigenvectors of a repeated eigenvalue may be another orthonormal
+    basis of its eigenspace.
     """
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise ShapeError(f"eigendecomposition needs a square matrix, got {M.shape}")
+    if M.shape[0] >= BLOCK_MIN_SIDE:
+        label = _components(M)
+        if label.any():
+            return _block_eig(M, label, vectors)
     check_hermitian(M)
     H = (M + M.conj().T) / 2.0
     if not vectors:

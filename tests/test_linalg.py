@@ -1,12 +1,19 @@
-"""Tensor-leg bookkeeping, partial transposition, and seeded sampling."""
+"""Tensor-leg bookkeeping, partial transposition, the Hermitian
+eigensolver, and seeded sampling."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from equimap import linalg
+from equimap.choi import block_matrix
 from equimap.errors import ContractViolation, ParameterError, ShapeError
 from equimap.linalg import (
+    BLOCK_MIN_SIDE,
     TensorShape,
     as_matrix,
+    check_hermitian,
     check_seed,
     complex_gaussian,
     frobenius_norm,
@@ -20,6 +27,15 @@ from equimap.linalg import (
     psd_eig,
     rng_from_seed,
     subseed,
+)
+from equimap.zoo import (
+    bhat_map,
+    choi_map,
+    collins3_map,
+    collins_map,
+    identity_map,
+    tomiyama_map,
+    transpose_map,
 )
 
 
@@ -151,6 +167,151 @@ class TestHermitianEig:
         H[0, 0] = bad
         with pytest.raises(ContractViolation):
             hermitian_eig(H)
+
+
+def _block_diagonal(rng, sides, real=False, zero_share=0.0):
+    """Hermitian matrix with diagonal blocks of the given sides, entries
+    of one block zeroed in symmetric pairs with probability zero_share,
+    and the block number of each index."""
+    side = sum(sides)
+    M = np.zeros((side, side), dtype=float if real else complex)
+    owner = np.repeat(np.arange(len(sides)), sides)
+    start = 0
+    for s in sides:
+        Z = rng.standard_normal((s, s)) if real else complex_gaussian(rng, (s, s))
+        H = Z + Z.conj().T
+        zeros = rng.random((s, s)) < zero_share
+        H[zeros | zeros.T] = 0.0
+        M[start : start + s, start : start + s] = H
+        start += s
+    return M, owner
+
+
+def _sides(rng, total):
+    """Block sides from 1 to 20 that add up to total."""
+    sides = []
+    while sum(sides) < total:
+        sides.append(min(int(rng.integers(1, 21)), total - sum(sides)))
+    return sides
+
+
+def _above_crossover(rng):
+    """Blocks of sides 5, 6, 5, 6, ... up to a side of BLOCK_MIN_SIDE or more."""
+    return _block_diagonal(rng, [5, 6] * (BLOCK_MIN_SIDE // 11 + 1))[0]
+
+
+def _refusal(fn, M):
+    with pytest.raises(ContractViolation) as info:
+        fn(M)
+    return str(info.value)
+
+
+class TestBlockSolver:
+    """Above BLOCK_MIN_SIDE, hermitian_eig solves the connected components
+    of the nonzero pattern apart; dense eigvalsh and check_hermitian on
+    the whole matrix are its oracles."""
+
+    @settings(max_examples=80)
+    @given(
+        side=st.one_of(st.integers(1, BLOCK_MIN_SIDE - 1), st.integers(BLOCK_MIN_SIDE, 300)),
+        real=st.booleans(),
+        zero_share=st.sampled_from([0.0, 0.2, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hidden_blocks_match_the_dense_solve(self, side, real, zero_share, seed):
+        rng = rng_from_seed(seed)
+        M, owner = _block_diagonal(rng, _sides(rng, side), real, zero_share)
+        p = rng.permutation(side)
+        M, owner = M[np.ix_(p, p)], owner[p]
+        tol = 1e-12 * max(1.0, frobenius_norm(M))
+        want = np.linalg.eigvalsh(M)
+        vals, vecs = hermitian_eig(M)
+        only, _ = hermitian_eig(M, vectors=False)
+        assert np.abs(vals - want).max() <= tol
+        assert np.abs(only - want).max() <= tol
+        assert frobenius_norm(M @ vecs - vecs * vals) <= tol
+        assert frobenius_norm(vecs.conj().T @ vecs - np.eye(side)) <= 1e-12
+        if side >= BLOCK_MIN_SIDE:
+            # Solved per block: each eigenvector lives on one block.
+            for col in vecs.T:
+                assert len(set(owner[col != 0])) == 1
+
+    def test_tridiagonal_is_one_component(self):
+        # A path is the longest chain for label propagation; in a random
+        # order it takes the most rounds.
+        d = 1024
+        T = np.diag(np.linspace(-1.0, 1.0, d))
+        T += np.diag(np.full(d - 1, 0.5), 1) + np.diag(np.full(d - 1, 0.5), -1)
+        p = rng_from_seed(41).permutation(d)
+        for M in (T, T[np.ix_(p, p)]):
+            assert not linalg._components(as_matrix(M)).any()
+        vals, _ = hermitian_eig(M, vectors=False)
+        assert np.abs(vals - np.linalg.eigvalsh(M)).max() <= 1e-12 * frobenius_norm(M)
+
+    @pytest.mark.parametrize("make", [
+        identity_map,
+        transpose_map,
+        choi_map,
+        lambda n: tomiyama_map(n, 0.7),
+        lambda n: bhat_map(n, 0.4, -1.3),
+        lambda n: collins_map(n, 1.5, -0.5, allow_small_n=True),
+        lambda n: collins3_map(n, 1.5, -0.5, 0.25, allow_small_n=True),
+    ], ids=["identity", "transpose", "choi", "tomiyama", "bhat", "collins", "collins3"])
+    def test_every_zoo_corner_matches_the_dense_solve(self, make):
+        for n in range(2, 9):
+            rep = make(n)
+            for k in range(1, n + 1):
+                B = block_matrix(rep, k)
+                tol = 1e-12 * max(1.0, frobenius_norm(B))
+                want = np.linalg.eigvalsh(B)
+                for vectors in (False, True):
+                    vals, _ = hermitian_eig(B, vectors)
+                    assert np.abs(vals - want).max() <= tol, (rep.label, k, vectors)
+
+    @pytest.mark.parametrize("i,j", [(0, 5), (5, 0)])
+    def test_one_sided_link_between_blocks_is_refused(self, i, j):
+        # Indices 0 and 5 open the first two blocks; the entry links them
+        # in one direction only.
+        M = _above_crossover(rng_from_seed(42))
+        M[i, j] = 1.0
+        assert _refusal(hermitian_eig, M) == _refusal(check_hermitian, M)
+
+    @pytest.mark.parametrize("i,j", [(0, 5), (5, 0)])
+    def test_accepted_one_sided_link_still_couples_its_blocks(self, i, j):
+        # 1e-12 is within 1e-12 * (1 + 1): accepted, and it splits the
+        # two unit eigenvalues by 1e-12 in the symmetrised matrix.
+        M = np.eye(2 * BLOCK_MIN_SIDE, dtype=complex)
+        M[i, j] = 1e-12
+        check_hermitian(M)
+        vals, _ = hermitian_eig(M, vectors=False)
+        want = np.linalg.eigvalsh((M + M.conj().T) / 2)
+        assert np.abs(vals - want).max() <= 1e-15
+
+    def test_roundoff_asymmetry_inside_a_block_is_accepted(self):
+        M = _above_crossover(rng_from_seed(43))
+        M[0, 1] += 1e-14
+        check_hermitian(M)
+        vals, _ = hermitian_eig(M)
+        want = np.linalg.eigvalsh((M + M.conj().T) / 2)
+        assert np.abs(vals - want).max() <= 1e-12 * frobenius_norm(M)
+
+    def test_scale_is_the_whole_matrix_max_entry(self):
+        # 1e-11 exceeds 1e-12 * (1 + max|entry| of its own block), but not
+        # 1e-12 * (1 + 1e3), and 1e3 sits in another block of another side.
+        M = _above_crossover(rng_from_seed(44))
+        M[0, 0] = 1e3
+        M[5, 6] += 1e-11
+        check_hermitian(M)
+        vals, _ = hermitian_eig(M, vectors=False)
+        want = np.linalg.eigvalsh((M + M.conj().T) / 2)
+        assert np.abs(vals - want).max() <= 1e-12 * frobenius_norm(M)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_entry_inside_a_block_is_refused(self, bad):
+        M = _above_crossover(rng_from_seed(45))
+        M[6, 6] = bad
+        assert _refusal(hermitian_eig, M) == _refusal(check_hermitian, M)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1e-12])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import random_paired_coeffs
 
-from equimap.choi import MapRep, apply_map, extend_map
+from equimap.choi import MapRep, apply_map, block_matrix, extend_map
 from equimap.equivariant import EquivariantSpec, build_equivariant
 from equimap.errors import ContractViolation, ParameterError
 from equimap.linalg import complex_gaussian, hermitian_eig, rng_from_seed
@@ -213,6 +213,28 @@ class TestFalsifierProperties:
             assert witness is None
         if block_min < -1e-6:
             assert witness is not None and witness.value < 0
+
+    # The truncated Bell state psi = sum_{i<k} e_i x e_i / sqrt(k), whose
+    # k x n reshaping is [I_k 0] / sqrt(k), has output block_matrix / k:
+    # a failing block is itself a witness by definition.  A block that
+    # passes with room to spare leaves the random search empty-handed.
+    @settings(max_examples=60)
+    @given(n=st.integers(3, 5), three=st.booleans(), data=st.data())
+    def test_collins_block_criterion_against_the_definition(self, n, three, data):
+        k = data.draw(st.integers(1, n), label="k")
+        alpha = data.draw(st.floats(-3.0, 3.0), label="alpha")
+        beta = data.draw(st.floats(-3.0, 3.0), label="beta")
+        if three:
+            gamma = data.draw(st.floats(-1.0, 1.0), label="gamma")
+            rep = collins3_map(n, alpha, beta, gamma)
+        else:
+            rep = collins_map(n, alpha, beta)
+        Psi = np.eye(k, n) / np.sqrt(k)
+        assert np.abs(choi_congruence(rep, Psi) - block_matrix(rep, k) / k).max() < 1e-12
+        passed, block_min = k_positivity(rep, k)
+        if passed and block_min >= 1e-6:
+            seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+            assert k_positivity_falsify(rep, k, trials=20, seed=seed) is None
 
 
 def test_default_tolerance_value():
