@@ -72,6 +72,7 @@ from .linalg import (
     kron_all,
     matrix_rank,
     partial_transpose,
+    psd_eig,
     subseed,
 )
 from .perms import (
@@ -86,11 +87,9 @@ from .positivity import (
     FalsificationWitness,
     KPositivityPoint,
     PositivityProfile,
-    is_psd,
     k_positivity,
     k_positivity_falsify,
     positivity_profile,
-    psd_eig,
 )
 from .zoo import (
     ZooEntry,

@@ -39,13 +39,14 @@ from .detection import (
 )
 from .diagram import render_dot, render_text, verify_wiring, wiring
 from .equivariant import (
+    COMMUTATOR_TOL,
     build_equivariant,
     check_ab_equivariance,
     check_signature,
     decompose_equivariant,
 )
 from .errors import CapacityError, ContractViolation, EquimapError, ParameterError, ShapeError
-from .linalg import check_seed, check_tol
+from .linalg import DEFAULT_TOL, check_seed, check_tol
 from .perms import Permutation, enumerate_sym
 from .positivity import k_positivity, k_positivity_falsify, positivity_profile
 from .zoo import parse_map_spec, positivity_scan
@@ -69,7 +70,7 @@ def default_tol() -> float:
             raise _UsageError(
                 f"EQUIMAP_TOL must be a nonnegative finite number, got {raw!r}"
             ) from None
-    return 1e-9
+    return DEFAULT_TOL
 
 
 def _vector_json(v) -> dict:
@@ -182,7 +183,7 @@ def _decompose(args, tol):
 @_command(
     "equiv", "sampled commutator check of a Choi matrix", _CHOI, _N, _A, _B,
     _arg("--trials", type=int, default=20), _SEED,
-    _arg("--tol", type=float, default=1e-8),
+    _arg("--tol", type=float, default=COMMUTATOR_TOL),
 )
 def _equiv(args, tol):
     C = serialize.load_matrix(args.choi)

@@ -20,6 +20,7 @@ from .linalg import (
     check_rank_tol,
     check_tol,
     haar_from_rng,
+    hermitian_eig,
     kron,
     rng_from_seed,
     subseed,
@@ -33,12 +34,12 @@ _DENSITY_TOL = 1e-10
 
 
 def _check_density(mat: np.ndarray, what: str = "matrix") -> None:
-    passed, vals, _ = psd_eig(mat, _DENSITY_TOL, vectors=False)  # enforces Hermiticity
+    passed, min_eig = psd_eig(mat, _DENSITY_TOL)  # enforces Hermiticity
     tr = float(np.trace(mat).real)
     if abs(tr - 1.0) > _DENSITY_TOL:
         raise ContractViolation(f"{what} has trace {tr!r}, expected 1")
     if not passed:
-        raise ContractViolation(f"{what} has negative eigenvalue {vals[0]:.3e}")
+        raise ContractViolation(f"{what} has negative eigenvalue {min_eig:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +146,8 @@ class DetectionVerdict:
 def _verdicts(rho: DensityMatrix, rep: MapRep, mats, label: str, tol: float):
     """Verdicts of id_m x Phi on each matrix of mats, which live on the
     spaces of rho.  Shapes and the tolerance are checked before the
-    ampliation is built, and it is built once."""
+    ampliation is built, and it is built once; a witness is solved only
+    for an output that fails psd_eig."""
     if rep.n != rho.dim_b:
         raise ShapeError(
             f"map acts on M_{rep.n} but the state's second factor is C^{rho.dim_b}"
@@ -154,12 +156,13 @@ def _verdicts(rho: DensityMatrix, rep: MapRep, mats, label: str, tol: float):
     ext = extend_map(rep, rho.dim_a)
     verdicts = []
     for mat in mats:
-        passed, vals, vecs = psd_eig(apply_map(ext, mat), tol)
+        out = apply_map(ext, mat)
+        passed, min_eig = psd_eig(out, tol)
         verdicts.append(DetectionVerdict(
             map_label=label,
-            min_eigenvalue=float(vals[0]),
+            min_eigenvalue=min_eig,
             detected=not passed,
-            witness=None if passed else vecs[:, 0].copy(),
+            witness=None if passed else hermitian_eig(out)[1][:, 0].copy(),
         ))
     return verdicts
 
@@ -240,10 +243,13 @@ def sampled_detector(rep: MapRep, a: int, seed) -> DetectorFamily:
 def family_verdicts(
     rho: DensityMatrix, family: DetectorFamily, tol: float = DEFAULT_TOL
 ) -> list[DetectionVerdict]:
-    """Per-unitary verdicts of id_m x phi on (1 x U_i) rho (1 x U_i)*."""
-    eye = np.eye(rho.dim_a)
-    rots = (kron(eye, U) for U in family.unitaries)
-    rotated = (rot @ rho.mat @ rot.conj().T for rot in rots)
+    """Per-unitary verdicts of id_m x phi on (1 x U_i) rho (1 x U_i)*; U_i
+    multiplies the n-blocks of rho's rows, then of its columns: 2 m^2 n^3
+    per member.  An (a, b)-declared base only conjugates the output by
+    1 x V(U_i), so every member's minimum eigenvalue is detect's."""
+    m, n = rho.dim_a, rho.dim_b
+    rotated = (((U @ rho.mat.reshape(m, n, -1)).reshape(-1, m, n) @ U.conj().T)
+               .reshape(m * n, -1) for U in family.unitaries)
     label = f"family({family.base.label},a={len(family.unitaries)})"
     return _verdicts(rho, family.base, rotated, label, tol)
 

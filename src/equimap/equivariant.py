@@ -50,6 +50,8 @@ from .perms import Permutation, check_budget, enumerate_sym, gram_matrix, sigma_
 
 _PAIRING_RTOL = 1e-12
 _PINV_RCOND = 1e-10
+# Default bound on the relative commutator norm of the sampled check.
+COMMUTATOR_TOL = 1e-8
 
 
 def check_signature(n: int, a: int, b: int) -> int:
@@ -199,7 +201,7 @@ class EquivarianceReport:
 
 
 def check_ab_equivariance(
-    C, n: int, a: int, b: int, trials: int = 20, seed=0, tol: float = 1e-8
+    C, n: int, a: int, b: int, trials: int = 20, seed=0, tol: float = COMMUTATOR_TOL
 ) -> EquivarianceReport:
     """Sample Haar unitaries U and measure the worst relative norm of
     [C, conj(U)^{x a+1} x U^{x b}]."""
@@ -220,7 +222,7 @@ def check_ab_equivariance(
 
 
 def attest_ab_equivariance(
-    rep: MapRep, a: int, b: int, trials: int = 20, seed=0, tol: float = 1e-8
+    rep: MapRep, a: int, b: int, trials: int = 20, seed=0, tol: float = COMMUTATOR_TOL
 ) -> MapRep:
     """Return a copy of rep carrying the (a, b) declaration, after the
     commutator check passes; raise ContractViolation otherwise."""

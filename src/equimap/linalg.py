@@ -133,44 +133,31 @@ def _components(M: np.ndarray) -> np.ndarray:
         label = hooked
 
 
-def _block_eig(M: np.ndarray, label: np.ndarray, vectors: bool):
-    """hermitian_eig of M solved per component of label: equal-sized
-    blocks are checked, symmetrised and solved in one stacked call, and
-    eigenvectors are scattered back into their rows."""
+def _block_eigvalsh(M: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of M solved per component of label:
+    equal-sized blocks are checked, symmetrised and solved in one stacked
+    call."""
     counts = np.bincount(label)
     sizes = counts[counts > 0]
     order = np.argsort(label, kind="stable")
     first = np.cumsum(sizes) - sizes
-    groups = []  # (indices, blocks, their adjoints), one per block side
+    blocks = []  # one stack of blocks per block side
     for side in np.unique(sizes):
         idx = order[first[sizes == side][:, None] + np.arange(side)]
-        B = M[idx[:, :, None], idx[:, None, :]]
-        groups.append((idx, B, B.conj().swapaxes(1, 2)))
+        blocks.append(M[idx[:, :, None], idx[:, None, :]])
+    adjoints = [B.conj().swapaxes(1, 2) for B in blocks]
     # check_hermitian(M) read on the blocks: every entry outside them is
     # zero in M and in M*, so the verdict and message are its own.  The
-    # scale stays the whole matrix's max|entry|, not each block's.
+    # scale stays the whole matrix's max|entry|, not each block's; np.max,
+    # unlike max(), keeps a NaN, which the rule then refuses.
     _refuse_asymmetry(
-        float(np.max([np.abs(B - BH).max() for _, B, BH in groups])),
-        float(np.max([np.abs(B).max() for _, B, _ in groups])),
+        float(np.max([np.abs(B - BH).max() for B, BH in zip(blocks, adjoints)])),
+        float(np.max([np.abs(B).max() for B in blocks])),
         "matrix",
     )
-    solved = [
-        np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
-        for H in ((B + BH) / 2.0 for _, B, BH in groups)
-    ]
-    vals = np.concatenate([w.ravel() for w, _ in solved])
-    rank = np.argsort(vals, kind="stable")
-    if not vectors:
-        return vals[rank], None
-    column = np.empty_like(rank)
-    column[rank] = np.arange(rank.size)
-    vecs = np.zeros(M.shape, dtype=complex)
-    start = 0
-    for (idx, _, _), (w, v) in zip(groups, solved):
-        cols = column[start : start + w.size].reshape(w.shape)
-        vecs[idx[:, :, None], cols[:, None, :]] = v
-        start += w.size
-    return vals[rank], vecs
+    return np.sort(np.concatenate([
+        np.linalg.eigvalsh((B + BH) / 2.0).ravel() for B, BH in zip(blocks, adjoints)
+    ]))
 
 
 def hermitian_eig(M, vectors: bool = True):
@@ -178,32 +165,29 @@ def hermitian_eig(M, vectors: bool = True):
 
     The input must pass check_hermitian; it is symmetrized before the
     solve so downstream results are exactly real.
-    Returns (eigenvalues ascending, eigenvector columns); the columns are
-    None when vectors is False, which skips computing them.
+    Returns (eigenvalues ascending, eigenvector columns) from one dense
+    eigh, or (eigenvalues ascending, None) when vectors is False.
 
-    From side BLOCK_MIN_SIDE up, the matrix is split into the connected
-    components of its symmetrised nonzero pattern (M != 0 or M^T != 0):
-    after a permutation it is block diagonal.  Equal-sized blocks are
-    solved in one stacked call, and each eigenvector is supported on its
-    block's indices.  Hermiticity is judged on the blocks against the whole
-    matrix's max|entry|, so verdicts and messages are check_hermitian's.
-    Eigenvalues equal the dense solve's up to rounding;
-    the eigenvectors of a repeated eigenvalue may be another orthonormal
-    basis of its eigenspace.
+    Eigenvalues alone are solved block by block from side BLOCK_MIN_SIDE
+    up: the connected components of the symmetrised nonzero pattern
+    (M != 0 or M^T != 0) are, after a permutation, the diagonal blocks of
+    M, and equal-sized blocks are solved in one stacked call.  Hermiticity
+    is judged on the blocks against the whole matrix's max|entry|, so
+    verdicts and messages are check_hermitian's, and the eigenvalues equal
+    the dense solve's up to rounding.
     """
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise ShapeError(f"eigendecomposition needs a square matrix, got {M.shape}")
-    if M.shape[0] >= BLOCK_MIN_SIDE:
+    if not vectors and M.shape[0] >= BLOCK_MIN_SIDE:
         label = _components(M)
         if label.any():
-            return _block_eig(M, label, vectors)
+            return _block_eigvalsh(M, label), None
     check_hermitian(M)
     H = (M + M.conj().T) / 2.0
     if not vectors:
         return np.linalg.eigvalsh(H), None
-    vals, vecs = np.linalg.eigh(H)
-    return vals, vecs
+    return np.linalg.eigh(H)
 
 
 def check_tol(tol: float) -> float:
@@ -214,14 +198,17 @@ def check_tol(tol: float) -> float:
     return tol
 
 
-def psd_eig(M, tol: float = DEFAULT_TOL, vectors: bool = True):
-    """The one positivity verdict of the package: (passed, eigenvalues
-    ascending, eigenvector columns) of Hermitian M, where passed means
-    minEig >= -tol * max(1, ||M||_F).  The columns are None when vectors
-    is False."""
+def psd_eig(M, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+    """The one positivity verdict of the package: (passed, minEig) of
+    Hermitian M, where passed means minEig >= -tol * max(1, ||M||_F).
+    Only eigenvalues are solved; a caller that reports a witness asks
+    hermitian_eig for the bottom eigenvector once the verdict fails."""
     check_tol(tol)
-    vals, vecs = hermitian_eig(M, vectors)
-    return float(vals[0]) >= -tol * max(1.0, frobenius_norm(M)), vals, vecs
+    vals, _ = hermitian_eig(M, vectors=False)
+    if not vals.size:
+        raise ShapeError("a positivity verdict needs a nonempty matrix")
+    min_eig = float(vals[0])
+    return min_eig >= -tol * max(1.0, frobenius_norm(M)), min_eig
 
 
 def frobenius_norm(M) -> float:

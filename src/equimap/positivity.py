@@ -17,14 +17,9 @@ import numpy as np
 
 from .choi import MapRep, block_matrix
 from .errors import ContractViolation, ParameterError
-from .linalg import DEFAULT_TOL, complex_gaussian, psd_eig, rng_from_seed, subseed
-
-
-def is_psd(M, tol: float = DEFAULT_TOL):
-    """(flag, min eigenvalue) under the psd_eig rule; no eigenvectors
-    are computed, which makes the solve several times cheaper."""
-    flag, vals, _ = psd_eig(M, tol, vectors=False)
-    return flag, float(vals[0])
+from .linalg import (
+    DEFAULT_TOL, complex_gaussian, hermitian_eig, psd_eig, rng_from_seed, subseed,
+)
 
 
 def _require_block_criterion(rep: MapRep) -> None:
@@ -43,7 +38,7 @@ def k_positivity(rep: MapRep, k: int, tol: float = DEFAULT_TOL):
     otherwise rather than silently applying an unsound criterion.
     """
     _require_block_criterion(rep)
-    return is_psd(block_matrix(rep, k), tol)
+    return psd_eig(block_matrix(rep, k), tol)
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,7 @@ def positivity_profile(rep: MapRep, tol: float = DEFAULT_TOL) -> PositivityProfi
     points = []
     best = 0
     for k in range(1, kmax + 1):
-        flag, min_eig = is_psd(block_matrix(rep, k), tol)
+        flag, min_eig = psd_eig(block_matrix(rep, k), tol)
         points.append(KPositivityPoint(k=k, min_eig=min_eig, passed=flag))
         if flag:
             best = k
@@ -111,9 +106,10 @@ def k_positivity_falsify(
     Samples uniform random pure states psi on C^k x C^n, which are
     generally entangled, takes the output (id_k x Phi)(psi psi*) by
     choi_congruence, and reports the bottom eigenvector of the first
-    output that fails psd_eig.  Needs no equivariance assumption, so it
-    cross-checks the block criterion on an independent route.  k ranges
-    over 1..n: n-positivity is already complete positivity.
+    output that fails psd_eig, solved only for that output.  Needs no
+    equivariance assumption, so it cross-checks the block criterion on an
+    independent route.  k ranges over 1..n: n-positivity is already
+    complete positivity.
     """
     if not 1 <= k <= rep.n:
         raise ParameterError(f"k = {k} outside 1..{rep.n}")
@@ -122,9 +118,9 @@ def k_positivity_falsify(
     for t in range(trials):
         psi = complex_gaussian(rng_from_seed(subseed(seed, t)), k * rep.n)
         psi = psi / np.linalg.norm(psi)
-        passed, vals, vecs = psd_eig(choi_congruence(rep, psi.reshape(k, rep.n)))
+        out = choi_congruence(rep, psi.reshape(k, rep.n))
+        passed, min_eig = psd_eig(out)
         if not passed:
-            return FalsificationWitness(
-                trial=t, state=psi, witness=vecs[:, 0].copy(), value=float(vals[0])
-            )
+            witness = hermitian_eig(out)[1][:, 0].copy()
+            return FalsificationWitness(trial=t, state=psi, witness=witness, value=min_eig)
     return None

@@ -139,6 +139,8 @@ def conjugation_map(M) -> MapRep:
     by M U M^-1.  Singular M gets no declaration.
     """
     M = as_matrix(M)
+    if not np.isfinite(M).all():
+        raise ParameterError("conjugation matrix entries must be finite numbers")
     if M.shape[0] != M.shape[1]:
         raise ParameterError(f"conjugation needs a square matrix, got {M.shape}")
     n = M.shape[0]

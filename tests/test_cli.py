@@ -14,7 +14,7 @@ import equimap.cli as cli
 from equimap.choi import bell_matrix
 from equimap.detection import bell_state, detect_with_family, sampled_detector
 from equimap.serialize import matrix_to_json, save_json, spec_to_json
-from equimap.equivariant import EquivariantSpec
+from equimap.equivariant import COMMUTATOR_TOL, EquivariantSpec, check_ab_equivariance
 from equimap.perms import Permutation
 from equimap.zoo import choi_map
 
@@ -374,6 +374,18 @@ class TestTolerancePlumbing:
         monkeypatch.setenv("EQUIMAP_TOL", "not-a-number")
         report = run_json(capsys, "basis", "--n", "2", "--a", "0", "--b", "1")
         assert report["results"]["count"] == 2
+
+    def test_defaults_are_the_library_constants(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("EQUIMAP_TOL", raising=False)
+        assert cli.default_tol() == equimap.DEFAULT_TOL
+        choi_path = tmp_path / "c.json"
+        save_json(str(choi_path), matrix_to_json(bell_matrix(2)))
+        report = run_json(
+            capsys, "equiv", "--choi", str(choi_path), "--n", "2", "--a", "0", "--b", "1",
+        )
+        assert report["results"]["tolerance"] == COMMUTATOR_TOL
+        library = check_ab_equivariance(bell_matrix(2), 2, 0, 1)
+        assert library.tolerance == COMMUTATOR_TOL
 
     def test_negative_equiv_tolerance_is_a_usage_error(self, capsys, tmp_path):
         choi_path = tmp_path / "c.json"

@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import ZOO_MAPS, draw_state
+
+from equimap.choi import apply_map, choi_of_map, extend_map
 from equimap.detection import (
     DensityMatrix,
     bell_state,
@@ -19,8 +24,10 @@ from equimap.detection import (
     sn_certificate,
 )
 from equimap.errors import ContractViolation, ParameterError, ShapeError
-from equimap.linalg import rng_from_seed
+from equimap.linalg import complex_gaussian, frobenius_norm, kron, rng_from_seed
 from equimap.zoo import choi_map, identity_map, transpose_map
+
+_SEED = st.integers(0, 2**32 - 1)
 
 
 class TestDensityMatrix:
@@ -173,8 +180,6 @@ class TestFamily:
         # Constant minima need either a covariant base or a state that
         # soaks the rotation up into its first leg (isotropic, Bell).
         # A skewed Schmidt vector against (M . M*)^t avoids both.
-        from equimap.choi import choi_of_map
-
         M = np.diag([1.0, 2.0, 3.0])
         base = choi_of_map(lambda A: (M @ A @ M.conj().T).T, 3, 3)
         psi = np.zeros(9, dtype=complex)
@@ -193,6 +198,39 @@ class TestFamily:
         )
         assert verdict.detected
         assert verdict.map_label == "family(choi(n=3),a=4)"
+
+    @settings(max_examples=60)
+    @given(rep=ZOO_MAPS, data=st.data())
+    def test_ab_base_members_all_have_the_detect_minimum(self, rep, data):
+        # (id x Phi)((1 x U) rho (1 x U)*) = (1 x V) (id x Phi)(rho) (1 x V)*
+        # with V = conj(U)^{x a} x U^{x b} unitary: the spectrum is detect's.
+        # test_minima_vary_and_are_deterministic is the non-covariant control.
+        assert rep.equivariance.kind == "ab"
+        rho = draw_state(data, rep.n)
+        out = apply_map(extend_map(rep, rho.dim_a), rho.mat)
+        want = detect(rho, rep).min_eigenvalue
+        family = sampled_detector(rep, 4, data.draw(_SEED, label="family seed"))
+        minima = family_block_minima(rho, family)
+        assert np.abs(minima - want).max() <= 1e-12 * max(1.0, frobenius_norm(out))
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_rotation_matches_the_kron_form(self, data):
+        # Oracle: the dense (1 x U) rho (1 x U)* handed to detect.  The base
+        # M A M* is not covariant, so a wrong rotation moves the minimum.
+        n = data.draw(st.integers(2, 4), label="n")
+        rho = draw_state(data, n)
+        M = complex_gaussian(rng_from_seed(data.draw(_SEED, label="M seed")), (n, n))
+        base = choi_of_map(lambda A: (M @ A @ M.conj().T).T, n, n, label="skewed")
+        family = sampled_detector(base, 3, data.draw(_SEED, label="family seed"))
+        eye = np.eye(rho.dim_a)
+        for U, got in zip(family.unitaries, family_verdicts(rho, family)):
+            rot = kron(eye, U)
+            mat = rot @ rho.mat @ rot.conj().T
+            want = detect(DensityMatrix(rho.dim_a, n, mat), base)
+            scale = max(1.0, frobenius_norm(apply_map(extend_map(base, rho.dim_a), mat)))
+            assert abs(got.min_eigenvalue - want.min_eigenvalue) <= 1e-12 * scale
+            assert got.detected == want.detected
 
     def test_size_validation_and_shape_check(self):
         with pytest.raises(ParameterError):

@@ -206,10 +206,16 @@ def _refusal(fn, M):
     return str(info.value)
 
 
+def _eigvals(M):
+    """hermitian_eig without eigenvectors: the block-solved path."""
+    return hermitian_eig(M, vectors=False)[0]
+
+
 class TestBlockSolver:
-    """Above BLOCK_MIN_SIDE, hermitian_eig solves the connected components
-    of the nonzero pattern apart; dense eigvalsh and check_hermitian on
-    the whole matrix are its oracles."""
+    """Above BLOCK_MIN_SIDE, hermitian_eig without eigenvectors, and so
+    psd_eig, solves the connected components of the nonzero pattern apart;
+    dense eigvalsh and check_hermitian on the whole matrix are its
+    oracles."""
 
     @settings(max_examples=80)
     @given(
@@ -232,9 +238,9 @@ class TestBlockSolver:
         assert frobenius_norm(M @ vecs - vecs * vals) <= tol
         assert frobenius_norm(vecs.conj().T @ vecs - np.eye(side)) <= 1e-12
         if side >= BLOCK_MIN_SIDE:
-            # Solved per block: each eigenvector lives on one block.
-            for col in vecs.T:
-                assert len(set(owner[col != 0])) == 1
+            # No component found spans two of the hidden blocks.
+            label = linalg._components(as_matrix(M))
+            assert all(len(set(owner[label == c])) == 1 for c in set(label))
 
     def test_tridiagonal_is_one_component(self):
         # A path is the longest chain for label propagation; in a random
@@ -274,7 +280,8 @@ class TestBlockSolver:
         # in one direction only.
         M = _above_crossover(rng_from_seed(42))
         M[i, j] = 1.0
-        assert _refusal(hermitian_eig, M) == _refusal(check_hermitian, M)
+        assert _refusal(_eigvals, M) == _refusal(check_hermitian, M)
+        assert _refusal(psd_eig, M) == _refusal(check_hermitian, M)
 
     @pytest.mark.parametrize("i,j", [(0, 5), (5, 0)])
     def test_accepted_one_sided_link_still_couples_its_blocks(self, i, j):
@@ -283,7 +290,7 @@ class TestBlockSolver:
         M = np.eye(2 * BLOCK_MIN_SIDE, dtype=complex)
         M[i, j] = 1e-12
         check_hermitian(M)
-        vals, _ = hermitian_eig(M, vectors=False)
+        vals = _eigvals(M)
         want = np.linalg.eigvalsh((M + M.conj().T) / 2)
         assert np.abs(vals - want).max() <= 1e-15
 
@@ -291,7 +298,7 @@ class TestBlockSolver:
         M = _above_crossover(rng_from_seed(43))
         M[0, 1] += 1e-14
         check_hermitian(M)
-        vals, _ = hermitian_eig(M)
+        vals = _eigvals(M)
         want = np.linalg.eigvalsh((M + M.conj().T) / 2)
         assert np.abs(vals - want).max() <= 1e-12 * frobenius_norm(M)
 
@@ -302,7 +309,7 @@ class TestBlockSolver:
         M[0, 0] = 1e3
         M[5, 6] += 1e-11
         check_hermitian(M)
-        vals, _ = hermitian_eig(M, vectors=False)
+        vals = _eigvals(M)
         want = np.linalg.eigvalsh((M + M.conj().T) / 2)
         assert np.abs(vals - want).max() <= 1e-12 * frobenius_norm(M)
 
@@ -311,7 +318,28 @@ class TestBlockSolver:
     def test_non_finite_entry_inside_a_block_is_refused(self, bad):
         M = _above_crossover(rng_from_seed(45))
         M[6, 6] = bad
-        assert _refusal(hermitian_eig, M) == _refusal(check_hermitian, M)
+        assert _refusal(_eigvals, M) == _refusal(check_hermitian, M)
+        assert _refusal(psd_eig, M) == _refusal(check_hermitian, M)
+
+
+class TestPsdEig:
+    def test_basic_verdicts(self):
+        ok, eig = psd_eig(np.diag([0.0, 1.0, 2.0]))
+        assert ok and abs(eig) < 1e-14
+        ok, eig = psd_eig(np.diag([-1.0, 1.0]))
+        assert not ok and abs(eig + 1.0) < 1e-14
+
+    def test_tolerance_is_relative_to_scale(self):
+        M = np.diag([1e6, -1e-5])
+        ok, _ = psd_eig(M, tol=1e-9)
+        assert ok  # -1e-5 is tiny against a norm of 1e6
+        ok, _ = psd_eig(np.diag([1.0, -1e-5]), tol=1e-9)
+        assert not ok
+
+    def test_empty_matrix_is_refused(self):
+        # It has no minimum eigenvalue to judge.
+        with pytest.raises(ShapeError, match="nonempty"):
+            psd_eig(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1e-12])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_paired_coeffs
+from helpers import ZOO_MAPS, random_paired_coeffs
 
 from equimap.choi import MapRep, apply_map, block_matrix, extend_map
 from equimap.equivariant import EquivariantSpec, build_equivariant
@@ -18,7 +18,6 @@ from equimap.linalg import complex_gaussian, hermitian_eig, rng_from_seed
 from equimap.positivity import (
     DEFAULT_TOL,
     choi_congruence,
-    is_psd,
     k_positivity,
     k_positivity_falsify,
     positivity_profile,
@@ -34,31 +33,6 @@ from equimap.zoo import (
 )
 
 _REAL = st.floats(-2.0, 2.0, allow_nan=False)
-# Zoo maps small enough for the dense extend-then-apply oracle at k = n.
-_ZOO = st.one_of(
-    st.builds(identity_map, st.integers(2, 4)),
-    st.builds(transpose_map, st.integers(2, 4)),
-    st.builds(choi_map, st.integers(2, 4)),
-    st.builds(tomiyama_map, st.integers(2, 4), _REAL),
-    st.builds(bhat_map, st.integers(2, 4), _REAL, _REAL),
-    st.builds(collins_map, st.just(3), _REAL, _REAL),
-    st.builds(collins3_map, st.just(3), _REAL, _REAL, _REAL),
-)
-
-
-class TestIsPsd:
-    def test_basic_verdicts(self):
-        ok, eig = is_psd(np.diag([0.0, 1.0, 2.0]))
-        assert ok and abs(eig) < 1e-14
-        ok, eig = is_psd(np.diag([-1.0, 1.0]))
-        assert not ok and abs(eig + 1.0) < 1e-14
-
-    def test_tolerance_is_relative_to_scale(self):
-        M = np.diag([1e6, -1e-5])
-        ok, _ = is_psd(M, tol=1e-9)
-        assert ok  # -1e-5 is tiny against a norm of 1e6
-        ok, _ = is_psd(np.diag([1.0, -1e-5]), tol=1e-9)
-        assert not ok
 
 
 class TestGate:
@@ -180,7 +154,7 @@ class TestFalsifier:
 
 class TestFalsifierProperties:
     @settings(max_examples=60)
-    @given(rep=_ZOO, data=st.data())
+    @given(rep=ZOO_MAPS, data=st.data())
     def test_congruence_equals_extend_then_apply(self, rep, data):
         k = data.draw(st.integers(1, rep.n), label="k")
         rng = rng_from_seed(data.draw(st.integers(0, 2**32 - 1), label="seed"))

@@ -204,6 +204,15 @@ class TestConjugation:
         with pytest.raises(ParameterError):
             conjugation_map(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+    def test_rejects_non_finite_entries_first(self, bad):
+        # Unrefused, NaN failed inside the rank's SVD and inf warned on
+        # its way through; warnings fail this suite.
+        M = np.eye(3, dtype=complex)
+        M[1, 2] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            conjugation_map(M)
+
     def test_outer_product_matches_the_kron_form(self):
         # The Choi matrix is v v* with v = M.T.reshape(-1); the dense
         # kron(1, M) B kron(1, M)* is the oracle.  Summation order
