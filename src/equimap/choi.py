@@ -72,6 +72,9 @@ class MapRep:
             raise ShapeError(
                 f"Choi matrix shape {arr.shape} does not match n*N = {d}"
             )
+        eq = self.equivariance
+        if eq is not None and eq.kind == "ab" and self.N != self.n ** (eq.a + eq.b):
+            raise ShapeError(f"an (a, b) = ({eq.a}, {eq.b}) map needs N = n^(a+b), got {self.N}")
         # Only self-adjoint maps are representable.
         check_hermitian(arr, "Choi matrix")
         arr = arr.copy()

@@ -8,7 +8,7 @@ for t-positivity this yields computable Schmidt-number lower bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +42,14 @@ def _check_density(mat: np.ndarray, what: str = "matrix") -> None:
         raise ContractViolation(f"{what} has negative eigenvalue {min_eig:.3e}")
 
 
+def _check_unit_norm(psi: np.ndarray) -> None:
+    """Refuse a norm off 1 by more than 1e-10, or NaN, or overflowing."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(psi))
+    if not abs(norm - 1.0) <= 1e-10:
+        raise ContractViolation(f"vector norm {norm!r} is not 1")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Bipartite state on C^dim_a x C^dim_b; validated at construction."""
@@ -68,9 +76,7 @@ class DensityMatrix:
     def from_pure(cls, psi, m: int, n: int) -> "DensityMatrix":
         psi = np.asarray(psi, dtype=complex).reshape(-1)
         check_budget(psi.size, "the pure state")
-        norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > 1e-10:
-            raise ContractViolation(f"vector norm {norm!r} is not 1")
+        _check_unit_norm(psi)
         return cls(dim_a=m, dim_b=n, mat=np.outer(psi, psi.conj()))
 
 
@@ -80,9 +86,7 @@ def schmidt_rank(psi, m: int, n: int, tol: float = 1e-9) -> int:
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != m * n:
         raise ShapeError(f"vector length {psi.size} does not match m*n = {m * n}")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
-        raise ContractViolation(f"vector norm {norm!r} is not 1")
+    _check_unit_norm(psi)
     s = np.linalg.svd(psi.reshape(m, n), compute_uv=False)
     return int(np.count_nonzero(s > tol))
 
@@ -240,17 +244,35 @@ def sampled_detector(rep: MapRep, a: int, seed) -> DetectorFamily:
     return DetectorFamily(base=rep, unitaries=unitaries, seed=int(seed))
 
 
+def _rotate_witness(w: np.ndarray, U: np.ndarray, a: int, b: int) -> np.ndarray:
+    """(1 x conj(U)^{x a} x U^{x b}) w, leg by leg on w as (m, n, ..., n)."""
+    n = U.shape[0]
+    t = w.reshape((-1,) + (n,) * (a + b))
+    for leg, A in enumerate([U.conj()] * a + [U] * b, start=1):
+        t = np.moveaxis(np.tensordot(A, t, axes=(1, leg)), 0, leg)
+    return t.reshape(-1)
+
+
 def family_verdicts(
     rho: DensityMatrix, family: DetectorFamily, tol: float = DEFAULT_TOL
 ) -> list[DetectionVerdict]:
-    """Per-unitary verdicts of id_m x phi on (1 x U_i) rho (1 x U_i)*; U_i
-    multiplies the n-blocks of rho's rows, then of its columns: 2 m^2 n^3
-    per member.  An (a, b)-declared base only conjugates the output by
-    1 x V(U_i), so every member's minimum eigenvalue is detect's."""
+    """Per-unitary verdicts of id_m x phi on (1 x U_i) rho (1 x U_i)*.
+
+    An (a, b)-declared base only conjugates detect's output by the unitary
+    1 x V(U_i), V(U) = conj(U)^{x a} x U^{x b}: every member gets detect's
+    verdict, and a failed one the witness (1 x V(U_i)) w.  Any other base
+    is solved per member, with U_i multiplying the n-blocks of rho's rows,
+    then of its columns: 2 m^2 n^3 per member."""
     m, n = rho.dim_a, rho.dim_b
+    label = f"family({family.base.label},a={len(family.unitaries)})"
+    eq = family.base.equivariance
+    if eq is not None and eq.kind == "ab":
+        [v] = _verdicts(rho, family.base, [rho.mat], label, tol)
+        return [v if v.witness is None
+                else replace(v, witness=_rotate_witness(v.witness, U, eq.a, eq.b))
+                for U in family.unitaries]
     rotated = (((U @ rho.mat.reshape(m, n, -1)).reshape(-1, m, n) @ U.conj().T)
                .reshape(m * n, -1) for U in family.unitaries)
-    label = f"family({family.base.label},a={len(family.unitaries)})"
     return _verdicts(rho, family.base, rotated, label, tol)
 
 

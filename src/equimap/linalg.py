@@ -207,8 +207,13 @@ def psd_eig(M, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     vals, _ = hermitian_eig(M, vectors=False)
     if not vals.size:
         raise ShapeError("a positivity verdict needs a nonempty matrix")
+    with np.errstate(over="ignore"):
+        bound = tol * max(1.0, frobenius_norm(M))
+    if not math.isfinite(bound):  # ||M||_F overflowed: (tol ||M/top||_F) top
+        top = float(np.abs(M).max())
+        bound = tol * frobenius_norm(as_matrix(M) / top) * top
     min_eig = float(vals[0])
-    return min_eig >= -tol * max(1.0, frobenius_norm(M)), min_eig
+    return min_eig >= -bound, min_eig
 
 
 def frobenius_norm(M) -> float:

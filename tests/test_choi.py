@@ -82,6 +82,13 @@ class TestMapRep:
         with pytest.raises(ParameterError):
             Equivariance("equivariant", 0, 1)
 
+    def test_ab_declaration_must_match_the_output_legs(self):
+        # A family's witness is rotated on the output's a + b legs of
+        # dimension n, so N must be n^(a+b).
+        MapRep(n=2, N=4, choi=np.eye(8), equivariance=Equivariance("ab", 1, 1))
+        with pytest.raises(ShapeError, match="N = n"):
+            MapRep(n=2, N=2, choi=np.eye(4), equivariance=Equivariance("ab", 1, 1))
+
 
 class TestChoiOfMap:
     def test_identity_map_gives_bell(self):

@@ -48,6 +48,15 @@ class TestReports:
         assert report["results"]["pass"] is False
         assert abs(report["results"]["minEig"] + 1.0) < 1e-9
 
+    def test_kpos_fails_a_map_whose_norm_overflows(self, capsys):
+        # The Choi matrix's Frobenius norm overflows; an overflow
+        # RuntimeWarning is an error in this suite.
+        report = run_json(
+            capsys, "kpos", "--map", "collins:n=3,alpha=1e300,beta=-1e300", "--k", "1",
+        )
+        assert report["results"]["pass"] is False
+        assert report["results"]["minEig"] < -1e300
+
     def test_profile(self, capsys):
         report = run_json(capsys, "profile", "--map", "transpose:n=3")
         results = report["results"]

@@ -24,8 +24,8 @@ from equimap.detection import (
     sn_certificate,
 )
 from equimap.errors import ContractViolation, ParameterError, ShapeError
-from equimap.linalg import complex_gaussian, frobenius_norm, kron, rng_from_seed
-from equimap.zoo import choi_map, identity_map, transpose_map
+from equimap.linalg import DEFAULT_TOL, complex_gaussian, frobenius_norm, kron, rng_from_seed
+from equimap.zoo import choi_map, conjugation_map, identity_map, transpose_map
 
 _SEED = st.integers(0, 2**32 - 1)
 
@@ -54,6 +54,13 @@ class TestDensityMatrix:
         with pytest.raises(ContractViolation):
             DensityMatrix.from_pure(2.0 * psi, 2, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_from_pure_refuses_a_non_finite_norm(self, bad):
+        # NaN fails every comparison and 1e200 overflows the norm; the norm
+        # check, not the density gate, must refuse both.
+        with pytest.raises(ContractViolation, match="vector norm"):
+            DensityMatrix.from_pure([bad, 0.0, 0.0, 0.0], 2, 2)
+
 
 class TestSchmidtRank:
     @pytest.mark.parametrize("m,n,r", [(2, 2, 1), (3, 3, 2), (3, 3, 3), (2, 4, 2)])
@@ -73,6 +80,12 @@ class TestSchmidtRank:
             schmidt_rank(np.ones(4), 2, 2)
         with pytest.raises(ParameterError):
             random_pure(2, 2, 3, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_refuses_a_non_finite_norm(self, bad):
+        # Refused before the SVD, which does not converge on NaN.
+        with pytest.raises(ContractViolation, match="vector norm"):
+            schmidt_rank([bad, 0.0, 0.0, 0.0], 2, 2)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
     def test_tolerance_must_be_finite_and_positive(self, tol):
@@ -205,13 +218,25 @@ class TestFamily:
         # (id x Phi)((1 x U) rho (1 x U)*) = (1 x V) (id x Phi)(rho) (1 x V)*
         # with V = conj(U)^{x a} x U^{x b} unitary: the spectrum is detect's.
         # test_minima_vary_and_are_deterministic is the non-covariant control.
+        # family_verdicts answers such a base with detect's one verdict, so
+        # each member is also checked against its own extend-then-apply
+        # solve on the kron-rotated state.
         assert rep.equivariance.kind == "ab"
         rho = draw_state(data, rep.n)
-        out = apply_map(extend_map(rep, rho.dim_a), rho.mat)
+        ext = extend_map(rep, rho.dim_a)
+        out = apply_map(ext, rho.mat)
         want = detect(rho, rep).min_eigenvalue
         family = sampled_detector(rep, 4, data.draw(_SEED, label="family seed"))
         minima = family_block_minima(rho, family)
         assert np.abs(minima - want).max() <= 1e-12 * max(1.0, frobenius_norm(out))
+        eye = np.eye(rho.dim_a)
+        for U, got in zip(family.unitaries, family_verdicts(rho, family)):
+            rot = kron(eye, U)
+            member = apply_map(ext, rot @ rho.mat @ rot.conj().T)
+            scale = max(1.0, frobenius_norm(member))
+            oracle = np.linalg.eigvalsh(member)[0]
+            assert abs(got.min_eigenvalue - oracle) <= 1e-12 * scale
+            assert got.detected == (oracle < -DEFAULT_TOL * scale)
 
     @settings(max_examples=40)
     @given(data=st.data())
@@ -231,6 +256,22 @@ class TestFamily:
             scale = max(1.0, frobenius_norm(apply_map(extend_map(base, rho.dim_a), mat)))
             assert abs(got.min_eigenvalue - want.min_eigenvalue) <= 1e-12 * scale
             assert got.detected == want.detected
+
+    @pytest.mark.parametrize("base,calls", [
+        (choi_map(3), 1),  # detect's one verdict
+        (conjugation_map(np.diag([1.0, 2.0, 3.0])), 50),
+        (choi_of_map(lambda A: np.trace(A) * np.eye(3) - A.T, 3, 3), 50),
+    ], ids=["ab", "equivariant", "undeclared"])
+    def test_outputs_applied(self, monkeypatch, base, calls):
+        counted = []
+
+        def counting(*args):
+            counted.append(1)
+            return apply_map(*args)
+
+        monkeypatch.setattr("equimap.detection.apply_map", counting)
+        verdicts = family_verdicts(bell_state(3), sampled_detector(base, 50, seed=2))
+        assert len(verdicts) == 50 and len(counted) == calls
 
     def test_size_validation_and_shape_check(self):
         with pytest.raises(ParameterError):

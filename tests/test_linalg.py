@@ -336,6 +336,13 @@ class TestPsdEig:
         ok, _ = psd_eig(np.diag([1.0, -1e-5]), tol=1e-9)
         assert not ok
 
+    def test_threshold_survives_an_overflowing_norm(self):
+        # ||M||_F overflows to inf; the bound must stay finite, or every
+        # matrix passes.
+        ok, eig = psd_eig(np.diag([-1e300, 1e300, 1e300]))
+        assert not ok and eig == pytest.approx(-1e300, rel=1e-12)
+        assert psd_eig(np.diag([0.0, 1e300, 1e300]))[0]
+
     def test_empty_matrix_is_refused(self):
         # It has no minimum eigenvalue to judge.
         with pytest.raises(ShapeError, match="nonempty"):
