@@ -24,7 +24,7 @@ in the zoo; tests verify the table by brute force on matrix units.
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -124,13 +124,15 @@ class EquivariantSpec:
         k1 = self.a + self.b + 1
         coeffs = {p: complex(c) for p, c in self.coeffs.items()}
         object.__setattr__(self, "coeffs", coeffs)
+        # sum |c| bounds every Choi entry; hypot returns inf where abs() raises.
+        total = sum(math.hypot(c.real, c.imag) for c in coeffs.values())
+        if not math.isfinite(total):
+            raise ParameterError(f"sum |c| of the coefficients is not finite: {total}")
         for p, c in coeffs.items():
             if p.degree != k1:
                 raise ParameterError(
                     f"permutation {p} has degree {p.degree}, expected {k1}"
                 )
-            if not cmath.isfinite(c):
-                raise ParameterError(f"coefficient of {p} is not finite: {c}")
             mate = coeffs.get(p.inverse(), 0.0)
             if abs(mate - c.conjugate()) > _PAIRING_RTOL * (1.0 + abs(c)):
                 raise ContractViolation(

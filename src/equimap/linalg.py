@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -20,9 +21,10 @@ from .errors import ContractViolation, ParameterError, ShapeError
 HERMITICITY_RTOL = 1e-12
 DEFAULT_TOL = 1e-9
 MAX_SEED = 2**64
-# Side from which hermitian_eig solves blocks apart.  Finding and solving
-# the blocks of a zoo corner took 0.2-0.35 ms: about even with a dense
-# eigvalsh at side 48, 1.5-2x faster at side 64 (one BLAS thread).
+# Side from which check_hermitian judges, and hermitian_eig solves, the
+# blocks of a matrix apart.  Finding and solving the blocks of a zoo
+# corner took 0.2-0.35 ms: about even with a dense eigvalsh at side 48,
+# 1.5-2x faster at side 64 (one BLAS thread).
 BLOCK_MIN_SIDE = 48
 
 
@@ -84,24 +86,6 @@ def partial_transpose(M, shape: TensorShape, legs) -> np.ndarray:
     return np.ascontiguousarray(T).reshape(shape.total, shape.total)
 
 
-def _refuse_asymmetry(asym: float, top: float, what: str) -> None:
-    """The Hermiticity rule, given max|M - M*| and max|entry|."""
-    if not asym <= HERMITICITY_RTOL * (1.0 + top):
-        raise ContractViolation(
-            f"{what} is not Hermitian: max|M - M*| = {asym:.3e} "
-            f"exceeds {HERMITICITY_RTOL:.0e} * (1 + max|entry|)"
-        )
-
-
-def check_hermitian(M: np.ndarray, what: str = "matrix") -> None:
-    """Raise ContractViolation unless max|M - M*| <= 1e-12 * (1 + max|entry|);
-    a NaN or infinite entry fails."""
-    if M.size:
-        _refuse_asymmetry(
-            float(np.abs(M - M.conj().T).max()), float(np.abs(M).max()), what
-        )
-
-
 def _components(M: np.ndarray) -> np.ndarray:
     """Label each index of square M by the smallest index of its connected
     component in the symmetrised nonzero pattern (M != 0) or (M^T != 0).
@@ -133,61 +117,65 @@ def _components(M: np.ndarray) -> np.ndarray:
         label = hooked
 
 
-def _block_eigvalsh(M: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of M solved per component of label:
-    equal-sized blocks are checked, symmetrised and solved in one stacked
-    call."""
-    counts = np.bincount(label)
-    sizes = counts[counts > 0]
-    order = np.argsort(label, kind="stable")
-    first = np.cumsum(sizes) - sizes
-    blocks = []  # one stack of blocks per block side
-    for side in np.unique(sizes):
-        idx = order[first[sizes == side][:, None] + np.arange(side)]
-        blocks.append(M[idx[:, :, None], idx[:, None, :]])
-    adjoints = [B.conj().swapaxes(1, 2) for B in blocks]
-    # check_hermitian(M) read on the blocks: every entry outside them is
-    # zero in M and in M*, so the verdict and message are its own.  The
-    # scale stays the whole matrix's max|entry|, not each block's; np.max,
-    # unlike max(), keeps a NaN, which the rule then refuses.
-    _refuse_asymmetry(
-        float(np.max([np.abs(B - BH).max() for B, BH in zip(blocks, adjoints)])),
-        float(np.max([np.abs(B).max() for B in blocks])),
-        "matrix",
-    )
-    return np.sort(np.concatenate([
-        np.linalg.eigvalsh((B + BH) / 2.0).ravel() for B, BH in zip(blocks, adjoints)
-    ]))
+def check_hermitian(M: np.ndarray, what: str = "matrix") -> list[np.ndarray]:
+    """Raise ContractViolation unless max|M - M*| <= 1e-12 * (1 + max|entry|);
+    a NaN or infinite entry fails.  Returns the diagonal blocks of square
+    M that it judged, one stack per block side.
+
+    From side BLOCK_MIN_SIDE up, the blocks are the connected components
+    of the symmetrised nonzero pattern (M != 0 or M^T != 0); below it, or
+    when M is one component, the one block is M.  Every entry outside the
+    blocks is zero in M and in M*, so both maxima, and so the verdict and
+    the message, are the whole matrix's.
+    """
+    blocks = [M[None]]
+    if M.shape[0] >= BLOCK_MIN_SIDE:
+        label = _components(M)
+        if label.any():
+            counts = np.bincount(label)
+            sizes = counts[counts > 0]
+            order = np.argsort(label, kind="stable")
+            first = np.cumsum(sizes) - sizes
+            blocks = []
+            for side in np.unique(sizes):
+                idx = order[first[sizes == side][:, None] + np.arange(side)]
+                blocks.append(M[idx[:, :, None], idx[:, None, :]])
+    # np.maximum, unlike max(), keeps a NaN, which the rule then refuses;
+    # initial=0.0 lets an empty matrix pass.
+    asym = float(reduce(np.maximum, [
+        np.abs(B - B.conj().swapaxes(1, 2)).max(initial=0.0) for B in blocks]))
+    top = float(reduce(np.maximum, [np.abs(B).max(initial=0.0) for B in blocks]))
+    if not asym <= HERMITICITY_RTOL * (1.0 + top):
+        raise ContractViolation(
+            f"{what} is not Hermitian: max|M - M*| = {asym:.3e} "
+            f"exceeds {HERMITICITY_RTOL:.0e} * (1 + max|entry|)"
+        )
+    return blocks
 
 
 def hermitian_eig(M, vectors: bool = True):
     """Eigendecomposition of a Hermitian matrix.
 
-    The input must pass check_hermitian; it is symmetrized before the
-    solve so downstream results are exactly real.
-    Returns (eigenvalues ascending, eigenvector columns) from one dense
-    eigh, or (eigenvalues ascending, None) when vectors is False.
+    The input must pass check_hermitian; it is symmetrised as
+    M/2 + M*/2, which cannot overflow, so downstream results are exactly
+    real.  Returns (eigenvalues ascending, eigenvector columns) from one
+    dense eigh, or (eigenvalues ascending, None) when vectors is False.
 
-    Eigenvalues alone are solved block by block from side BLOCK_MIN_SIDE
-    up: the connected components of the symmetrised nonzero pattern
-    (M != 0 or M^T != 0) are, after a permutation, the diagonal blocks of
-    M, and equal-sized blocks are solved in one stacked call.  Hermiticity
-    is judged on the blocks against the whole matrix's max|entry|, so
-    verdicts and messages are check_hermitian's, and the eigenvalues equal
-    the dense solve's up to rounding.
+    Eigenvalues alone are solved on the blocks check_hermitian gathered,
+    equal-sized blocks in one stacked call; they equal the dense solve's
+    up to rounding.
     """
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise ShapeError(f"eigendecomposition needs a square matrix, got {M.shape}")
-    if not vectors and M.shape[0] >= BLOCK_MIN_SIDE:
-        label = _components(M)
-        if label.any():
-            return _block_eigvalsh(M, label), None
-    check_hermitian(M)
-    H = (M + M.conj().T) / 2.0
-    if not vectors:
-        return np.linalg.eigvalsh(H), None
-    return np.linalg.eigh(H)
+    blocks = check_hermitian(M)
+    if vectors:
+        half = M / 2.0
+        return np.linalg.eigh(half + half.conj().T)
+    halves = [B / 2.0 for B in blocks]
+    return np.sort(np.concatenate([
+        np.linalg.eigvalsh(H + H.conj().swapaxes(1, 2)).ravel() for H in halves
+    ])), None
 
 
 def check_tol(tol: float) -> float:

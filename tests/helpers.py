@@ -6,13 +6,15 @@ compared entrywise against basis elements.  pairwise_cycle_counts takes
 one Permutation.compose per pair, the loop that the vectorised
 perms.gram_matrix replaced.  ZOO_MAPS and draw_state are hypothesis
 strategies for the property tests of positivity and detection.
+hermiticity_refusal reads the Hermiticity rule on the whole matrix, the
+oracle of the block-by-block check.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 
 from equimap.detection import DensityMatrix, isotropic_state, random_pure
-from equimap.linalg import complex_gaussian
+from equimap.linalg import HERMITICITY_RTOL, complex_gaussian
 from equimap.perms import enumerate_sym
 from equimap.zoo import (
     bhat_map,
@@ -46,6 +48,21 @@ def draw_state(data, n):
     r = data.draw(st.integers(1, min(m, n)), label="r")
     psi = random_pure(m, n, r, data.draw(st.integers(0, 2**32 - 1), label="seed"))
     return DensityMatrix.from_pure(psi, m, n)
+
+
+def hermiticity_refusal(M, what="matrix"):
+    """The refusal message of the Hermiticity rule, max|M - M*| <=
+    HERMITICITY_RTOL * (1 + max|entry|), read with numpy on the whole of
+    M; None when M passes."""
+    M = np.asarray(M, dtype=complex)
+    asym = float(np.abs(M - M.conj().T).max())
+    top = float(np.abs(M).max())
+    if asym <= HERMITICITY_RTOL * (1.0 + top):
+        return None
+    return (
+        f"{what} is not Hermitian: max|M - M*| = {asym:.3e} "
+        f"exceeds {HERMITICITY_RTOL:.0e} * (1 + max|entry|)"
+    )
 
 
 def raw_choi(fn, n, N):

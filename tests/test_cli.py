@@ -1,16 +1,19 @@
 """Command line behavior: report schema, determinism, exit codes."""
 
+import itertools
 import json
 import os
 import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import equimap
 import equimap.cli as cli
+from equimap import zoo
 from equimap.choi import bell_matrix
 from equimap.detection import bell_state, detect_with_family, sampled_detector
 from equimap.serialize import matrix_to_json, save_json, spec_to_json
@@ -56,6 +59,13 @@ class TestReports:
         )
         assert report["results"]["pass"] is False
         assert report["results"]["minEig"] < -1e300
+
+    def test_profile_of_a_map_whose_symmetrisation_would_overflow(self, capsys):
+        # Entries near 1e308: (M + M*)/2 overflowed to inf and LAPACK
+        # failed to converge (exit 3); M/2 + M*/2 stays finite.
+        report = run_json(capsys, "profile", "--map", "tomiyama:n=3,lambda=1e308")
+        assert report["results"]["maxK"] == 0
+        assert [pt["pass"] for pt in report["results"]["perK"]] == [False] * 3
 
     def test_profile(self, capsys):
         report = run_json(capsys, "profile", "--map", "transpose:n=3")
@@ -277,7 +287,11 @@ class TestExitCodes:
         ("kpos", "--map", "tomiyama:n=3,lambda=nan", "--k", "1"),
         ("kpos", "--map", "bhat:n=3,alpha=inf,beta=0", "--k", "1"),
         ("scan", "--map", "collins", "--n", "3", "--alpha", "nan:1:2", "--beta", "0:1:1"),
-    ], ids=["basis-n0", "basis-over-budget", "tomiyama-nan", "bhat-inf", "scan-nan"])
+        # Each coefficient is finite, but their sum, which bounds the
+        # Choi entries, is not.
+        ("kpos", "--map", "bhat:n=3,alpha=1e308,beta=1e308", "--k", "1"),
+    ], ids=["basis-n0", "basis-over-budget", "tomiyama-nan", "bhat-inf", "scan-nan",
+            "bhat-overflow"])
     def test_refused_before_any_report(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1
@@ -296,6 +310,63 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("usage error:")
+
+
+_EXTREMES = (0.0, 1e-300, -1e-300, 1e300, -1e300, 1e308, -1e308, 1.7e308,
+             float("nan"), float("inf"), float("-inf"))
+_SIZES = (0, 1, 2, -1, 100000)
+_STDERR_PREFIXES = {1: ("usage error:", "parse error at"), 2: ("contract violation:",)}
+
+
+def _extreme_map_specs():
+    """Map specs of every zoo entry with an n key, built from its help
+    example: n at each of _SIZES, and each float key alone and each pair
+    of float keys (same and opposite signs) at each of _EXTREMES."""
+    specs = {}  # an ordered set: -nan reads as nan
+    for name, (keys, _, example) in zoo.MAP_SPECS.items():
+        if keys.get("n") is not int:
+            continue
+        base = dict(item.split("=") for item in example.split(":")[1].split(","))
+
+        def spec(**values):
+            return name + ":" + ",".join(f"{k}={values.get(k, v)}" for k, v in base.items())
+
+        floats = [key for key, kind in keys.items() if kind is float]
+        specs.update(dict.fromkeys(spec(n=n) for n in _SIZES))
+        for key in floats:
+            specs.update(dict.fromkeys(spec(**{key: x}) for x in _EXTREMES))
+        for k1, k2 in itertools.combinations(floats, 2):
+            for x in _EXTREMES:
+                specs.update(dict.fromkeys([spec(**{k1: x, k2: x}), spec(**{k1: x, k2: -x})]))
+    return list(specs)
+
+
+class TestExtremeValues:
+    """The exit-code contract on the map grammar's extreme values: every
+    run returns 0, 1 or 2 with its documented stderr prefix, and raises
+    nothing, warnings included."""
+
+    @pytest.mark.parametrize("command", [("kpos", "--k", "1"), ("profile",)], ids=["kpos", "profile"])
+    def test_every_run_keeps_the_exit_code_contract(self, capsys, command):
+        broken = []
+        for spec in _extreme_map_specs():
+            argv = [command[0], "--map", spec, *command[1:]]
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code, out, err = run(capsys, *argv)
+            except Exception as exc:  # every escape, warnings included, is a finding
+                broken.append((argv, f"raised {exc!r}"))
+                capsys.readouterr()
+                continue
+            if code == 0:
+                results = json.loads(out)["results"]
+                passes = [results] if command[0] == "kpos" else results["perK"]
+                if err or any(pt["pass"] and not np.isfinite(pt["minEig"]) for pt in passes):
+                    broken.append((argv, f"exit 0, stderr {err!r}, results {results}"))
+            elif code not in _STDERR_PREFIXES or not err.startswith(_STDERR_PREFIXES[code]):
+                broken.append((argv, f"exit {code}: {err!r}"))
+        assert not broken, f"{len(broken)} runs broke the contract, first: {broken[:5]}"
 
 
 def _cap_address_space():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_paired_coeffs, raw_choi
+from helpers import hermiticity_refusal, random_paired_coeffs, raw_choi
 
 from equimap.choi import MapRep, bell_matrix
 from equimap.equivariant import (
@@ -22,7 +22,7 @@ from equimap.equivariant import (
 )
 from equimap.diagram import matrix_from_wiring, wiring
 from equimap.errors import CapacityError, ContractViolation, ParameterError, ShapeError
-from equimap.linalg import check_hermitian, complex_gaussian, frobenius_norm, rng_from_seed
+from equimap.linalg import complex_gaussian, frobenius_norm, rng_from_seed
 from equimap.perms import Permutation, enumerate_sym
 
 
@@ -161,11 +161,7 @@ class TestSpec:
             # A real shift leaves an involution's real coefficient paired.
             coeffs[p] += 1j * size if p == p.inverse() else size * np.exp(1j * angle)
         dense = sum(c * choi_basis_element(n, a, b, p) for p, c in coeffs.items())
-        try:
-            check_hermitian(dense)
-            hermitian = True
-        except ContractViolation:
-            hermitian = False
+        hermitian = hermiticity_refusal(dense) is None
         try:
             EquivariantSpec(n=n, a=a, b=b, coeffs=coeffs)
             accepted = True

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import hermiticity_refusal
+
 from equimap import linalg
-from equimap.choi import block_matrix
+from equimap.choi import MapRep, block_matrix
 from equimap.errors import ContractViolation, ParameterError, ShapeError
 from equimap.linalg import (
     BLOCK_MIN_SIDE,
@@ -195,15 +197,30 @@ def _sides(rng, total):
     return sides
 
 
-def _above_crossover(rng):
-    """Blocks of sides 5, 6, 5, 6, ... up to a side of BLOCK_MIN_SIDE or more."""
-    return _block_diagonal(rng, [5, 6] * (BLOCK_MIN_SIDE // 11 + 1))[0]
+def _both_sides(rng):
+    """Blocks of sides 5, 6, 5, 6, ...: one matrix below BLOCK_MIN_SIDE
+    and one of side BLOCK_MIN_SIDE or more."""
+    return [_block_diagonal(rng, [5, 6] * count)[0] for count in (2, BLOCK_MIN_SIDE // 11 + 1)]
 
 
-def _refusal(fn, M):
-    with pytest.raises(ContractViolation) as info:
+def _verdict(fn, M):
+    """The message of the ContractViolation fn raises on M, or None."""
+    try:
         fn(M)
-    return str(info.value)
+    except ContractViolation as exc:
+        return str(exc)
+    return None
+
+
+def _assert_dense_verdict(M):
+    """check_hermitian, MapRep and psd_eig give the verdict and message of
+    the rule read densely on the whole matrix."""
+    want = hermiticity_refusal(M)
+    assert _verdict(check_hermitian, M) == want
+    assert _verdict(psd_eig, M) == want
+    choi = _verdict(lambda C: MapRep(n=C.shape[0], N=1, choi=C), M)
+    assert choi == hermiticity_refusal(M, "Choi matrix")
+    return want
 
 
 def _eigvals(M):
@@ -211,11 +228,15 @@ def _eigvals(M):
     return hermitian_eig(M, vectors=False)[0]
 
 
+def _symmetrised(M):
+    return (M + M.conj().T) / 2
+
+
 class TestBlockSolver:
-    """Above BLOCK_MIN_SIDE, hermitian_eig without eigenvectors, and so
-    psd_eig, solves the connected components of the nonzero pattern apart;
-    dense eigvalsh and check_hermitian on the whole matrix are its
-    oracles."""
+    """From BLOCK_MIN_SIDE up, check_hermitian judges, and hermitian_eig
+    without eigenvectors (so psd_eig) solves, the connected components of
+    the nonzero pattern apart; dense eigvalsh and the Hermiticity rule
+    read with numpy on the whole matrix are the oracles."""
 
     @settings(max_examples=80)
     @given(
@@ -223,21 +244,30 @@ class TestBlockSolver:
         real=st.booleans(),
         zero_share=st.sampled_from([0.0, 0.2, 0.5]),
         seed=st.integers(0, 2**32 - 1),
+        link=st.sampled_from([None, 1e-13, 1e-11, 1.0, float("nan")]),
     )
-    def test_hidden_blocks_match_the_dense_solve(self, side, real, zero_share, seed):
+    def test_hidden_blocks_match_the_dense_solve(self, side, real, zero_share, seed, link):
+        # link, when drawn, is added at one position: often a one-sided
+        # link between two hidden blocks.
         rng = rng_from_seed(seed)
         M, owner = _block_diagonal(rng, _sides(rng, side), real, zero_share)
         p = rng.permutation(side)
         M, owner = M[np.ix_(p, p)], owner[p]
+        if link is not None:
+            i, j = rng.integers(side, size=2)
+            M[i, j] += link
+        if _assert_dense_verdict(M) is not None:
+            return
+        H = _symmetrised(M)
         tol = 1e-12 * max(1.0, frobenius_norm(M))
-        want = np.linalg.eigvalsh(M)
+        want = np.linalg.eigvalsh(H)
         vals, vecs = hermitian_eig(M)
         only, _ = hermitian_eig(M, vectors=False)
         assert np.abs(vals - want).max() <= tol
         assert np.abs(only - want).max() <= tol
-        assert frobenius_norm(M @ vecs - vecs * vals) <= tol
+        assert frobenius_norm(H @ vecs - vecs * vals) <= tol
         assert frobenius_norm(vecs.conj().T @ vecs - np.eye(side)) <= 1e-12
-        if side >= BLOCK_MIN_SIDE:
+        if side >= BLOCK_MIN_SIDE and link is None:
             # No component found spans two of the hidden blocks.
             label = linalg._components(as_matrix(M))
             assert all(len(set(owner[label == c])) == 1 for c in set(label))
@@ -278,48 +308,45 @@ class TestBlockSolver:
     def test_one_sided_link_between_blocks_is_refused(self, i, j):
         # Indices 0 and 5 open the first two blocks; the entry links them
         # in one direction only.
-        M = _above_crossover(rng_from_seed(42))
-        M[i, j] = 1.0
-        assert _refusal(_eigvals, M) == _refusal(check_hermitian, M)
-        assert _refusal(psd_eig, M) == _refusal(check_hermitian, M)
+        for M in _both_sides(rng_from_seed(42)):
+            M[i, j] = 1.0
+            assert _assert_dense_verdict(M) is not None
+            assert _verdict(_eigvals, M) == hermiticity_refusal(M)
 
     @pytest.mark.parametrize("i,j", [(0, 5), (5, 0)])
     def test_accepted_one_sided_link_still_couples_its_blocks(self, i, j):
         # 1e-12 is within 1e-12 * (1 + 1): accepted, and it splits the
         # two unit eigenvalues by 1e-12 in the symmetrised matrix.
-        M = np.eye(2 * BLOCK_MIN_SIDE, dtype=complex)
-        M[i, j] = 1e-12
-        check_hermitian(M)
-        vals = _eigvals(M)
-        want = np.linalg.eigvalsh((M + M.conj().T) / 2)
-        assert np.abs(vals - want).max() <= 1e-15
+        for side in (BLOCK_MIN_SIDE // 2, 2 * BLOCK_MIN_SIDE):
+            M = np.eye(side, dtype=complex)
+            M[i, j] = 1e-12
+            assert _assert_dense_verdict(M) is None
+            want = np.linalg.eigvalsh(_symmetrised(M))
+            assert np.abs(_eigvals(M) - want).max() <= 1e-15
 
     def test_roundoff_asymmetry_inside_a_block_is_accepted(self):
-        M = _above_crossover(rng_from_seed(43))
-        M[0, 1] += 1e-14
-        check_hermitian(M)
-        vals = _eigvals(M)
-        want = np.linalg.eigvalsh((M + M.conj().T) / 2)
-        assert np.abs(vals - want).max() <= 1e-12 * frobenius_norm(M)
+        for M in _both_sides(rng_from_seed(43)):
+            M[0, 1] += 1e-14
+            assert _assert_dense_verdict(M) is None
+            want = np.linalg.eigvalsh(_symmetrised(M))
+            assert np.abs(_eigvals(M) - want).max() <= 1e-12 * frobenius_norm(M)
 
     def test_scale_is_the_whole_matrix_max_entry(self):
         # 1e-11 exceeds 1e-12 * (1 + max|entry| of its own block), but not
         # 1e-12 * (1 + 1e3), and 1e3 sits in another block of another side.
-        M = _above_crossover(rng_from_seed(44))
-        M[0, 0] = 1e3
-        M[5, 6] += 1e-11
-        check_hermitian(M)
-        vals = _eigvals(M)
-        want = np.linalg.eigvalsh((M + M.conj().T) / 2)
-        assert np.abs(vals - want).max() <= 1e-12 * frobenius_norm(M)
+        for M in _both_sides(rng_from_seed(44)):
+            M[0, 0] = 1e3
+            M[5, 6] += 1e-11
+            assert _assert_dense_verdict(M) is None
+            want = np.linalg.eigvalsh(_symmetrised(M))
+            assert np.abs(_eigvals(M) - want).max() <= 1e-12 * frobenius_norm(M)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_entry_inside_a_block_is_refused(self, bad):
-        M = _above_crossover(rng_from_seed(45))
-        M[6, 6] = bad
-        assert _refusal(_eigvals, M) == _refusal(check_hermitian, M)
-        assert _refusal(psd_eig, M) == _refusal(check_hermitian, M)
+        for M in _both_sides(rng_from_seed(45)):
+            M[6, 6] = bad
+            assert _assert_dense_verdict(M) is not None
 
 
 class TestPsdEig:
@@ -342,6 +369,13 @@ class TestPsdEig:
         ok, eig = psd_eig(np.diag([-1e300, 1e300, 1e300]))
         assert not ok and eig == pytest.approx(-1e300, rel=1e-12)
         assert psd_eig(np.diag([0.0, 1e300, 1e300]))[0]
+
+    def test_symmetrisation_does_not_overflow(self):
+        # (M + M*)/2 overflowed 1.7e308 to inf, with a RuntimeWarning, on
+        # the dense path and on the block path alike.
+        for pad in (0, BLOCK_MIN_SIDE):
+            ok, eig = psd_eig(np.diag([-1e307, 1e307, 1.7e308] + [0.0] * pad))
+            assert not ok and eig == pytest.approx(-1e307, rel=1e-12)
 
     def test_empty_matrix_is_refused(self):
         # It has no minimum eigenvalue to judge.
