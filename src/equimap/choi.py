@@ -53,33 +53,57 @@ class Equivariance:
             raise ParameterError(f"kind {self.kind!r} takes no (a, b)")
 
 
-@dataclass(frozen=True, eq=False)
 class MapRep:
-    """A self-adjoint linear map M_n -> M_N held as its Choi matrix."""
+    """A self-adjoint linear map M_n -> M_N held as its Choi matrix.
 
-    n: int
-    N: int
-    choi: np.ndarray
-    label: str = ""
-    equivariance: Equivariance | None = None
+    Given choi, the matrix is checked and stored at once.  Given the
+    EquivariantSpec of a built map instead, the map holds its
+    coefficients and scatters the matrix on first read of rep.choi;
+    block_matrix scatters corners from the spec without it.  Either way
+    the stored matrix has passed check_hermitian and is read-only.
+    """
 
-    def __post_init__(self):
-        if self.n < 1 or self.N < 1:
-            raise ParameterError(f"dimensions must be positive, got n={self.n} N={self.N}")
-        arr = as_matrix(self.choi)
+    __slots__ = ("n", "N", "label", "equivariance", "spec", "_choi")
+
+    def __init__(self, n: int, N: int, choi=None, label: str = "",
+                 equivariance: Equivariance | None = None, spec=None):
+        if n < 1 or N < 1:
+            raise ParameterError(f"dimensions must be positive, got n={n} N={N}")
+        eq = equivariance
+        if eq is not None and eq.kind == "ab" and N != n ** (eq.a + eq.b):
+            raise ShapeError(f"an (a, b) = ({eq.a}, {eq.b}) map needs N = n^(a+b), got {N}")
+        if (choi is None) == (spec is None):
+            raise ParameterError("a map is given by exactly one of choi and spec")
+        for name, value in zip(self.__slots__, (n, N, label, eq, spec, None)):
+            object.__setattr__(self, name, value)
+        if choi is not None:
+            self._store(as_matrix(choi).copy())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MapRep is immutable; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return f"MapRep(n={self.n}, N={self.N}, label={self.label!r})"
+
+    def _store(self, arr: np.ndarray) -> np.ndarray:
+        """Check arr, which the map then owns, and keep it read-only."""
         d = self.n * self.N
         if arr.shape != (d, d):
             raise ShapeError(
                 f"Choi matrix shape {arr.shape} does not match n*N = {d}"
             )
-        eq = self.equivariance
-        if eq is not None and eq.kind == "ab" and self.N != self.n ** (eq.a + eq.b):
-            raise ShapeError(f"an (a, b) = ({eq.a}, {eq.b}) map needs N = n^(a+b), got {self.N}")
         # Only self-adjoint maps are representable.
         check_hermitian(arr, "Choi matrix")
-        arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "choi", arr)
+        object.__setattr__(self, "_choi", arr)
+        return arr
+
+    @property
+    def choi(self) -> np.ndarray:
+        """The dense Choi matrix, scattered from the spec on first read."""
+        if self._choi is None:
+            return self._store(self.spec.corner(self.n * self.N))
+        return self._choi
 
 
 def bell_vector(n: int) -> np.ndarray:
@@ -152,10 +176,14 @@ def apply_map(rep: MapRep, X) -> np.ndarray:
 
 
 def block_matrix(rep: MapRep, k: int) -> np.ndarray:
-    """Compression [Phi(e_ij)]_{i,j=1..k}: the leading kN x kN corner of the Choi."""
+    """Compression [Phi(e_ij)]_{i,j=1..k}: the leading kN x kN corner of the
+    Choi, scattered from the spec of a built map, so its dense Choi is
+    never read."""
     if not 1 <= k <= rep.n:
         raise ParameterError(f"k = {k} outside 1..{rep.n}")
     d = k * rep.N
+    if rep.spec is not None:
+        return rep.spec.corner(d)
     return rep.choi[:d, :d].copy()
 
 

@@ -47,7 +47,7 @@ from .equivariant import (
 )
 from .errors import CapacityError, ContractViolation, EquimapError, ParameterError, ShapeError
 from .linalg import DEFAULT_TOL, check_seed, check_tol
-from .perms import Permutation, enumerate_sym
+from .perms import Permutation, check_work, enumerate_sym
 from .positivity import k_positivity, k_positivity_falsify, positivity_profile
 from .zoo import parse_map_spec, positivity_scan
 
@@ -78,7 +78,7 @@ def _vector_json(v) -> dict:
     return {"re": [float(x) for x in v.real], "im": [float(x) for x in v.imag]}
 
 
-def _parse_range(text: str) -> np.ndarray:
+def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise _UsageError(f"expected LO:HI:STEPS, got {text!r}")
@@ -88,7 +88,7 @@ def _parse_range(text: str) -> np.ndarray:
         raise _UsageError(f"expected LO:HI:STEPS with numeric fields, got {text!r}") from None
     if steps < 1:
         raise _UsageError(f"steps must be positive in {text!r}")
-    return np.linspace(lo, hi, steps)
+    return lo, hi, steps
 
 
 def _edges_json(d) -> list:
@@ -309,9 +309,12 @@ def _family(args, tol):
 )
 def _scan(args, tol):
     gamma = args.gamma if args.map_name == "collins3" else None
-    rows = positivity_scan(
-        args.n, _parse_range(args.alpha), _parse_range(args.beta), gamma=gamma, tol=tol,
-    )
+    ranges = [_parse_range(args.alpha), _parse_range(args.beta)]
+    check_work(ranges[0][2] * ranges[1][2], "scan grid points")  # before linspace allocates
+    # A span that overflows gives non-finite grid values, which the scan refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        alphas, betas = [np.linspace(*r) for r in ranges]
+    rows = positivity_scan(args.n, alphas, betas, gamma=gamma, tol=tol)
     return {"map": args.map_name, "n": args.n, "grid": rows}
 
 

@@ -25,7 +25,7 @@ from .linalg import (
     rng_from_seed,
     subseed,
 )
-from .perms import check_budget
+from .perms import check_budget, check_work
 from .positivity import DEFAULT_TOL, k_positivity, psd_eig
 
 # Bound on |tr - 1| and the psd_eig tolerance of the density gate; any
@@ -238,6 +238,7 @@ class DetectorFamily:
 def sampled_detector(rep: MapRep, a: int, seed) -> DetectorFamily:
     if a < 1:
         raise ParameterError(f"family size must be positive, got {a}")
+    check_work(a * rep.n * rep.n, f"entries of {a} family unitaries of side {rep.n}")
     unitaries = tuple(
         haar_from_rng(rng_from_seed(subseed(seed, i)), rep.n) for i in range(a)
     )

@@ -24,8 +24,8 @@ in the zoo; tests verify the table by brute force on matrix units.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -105,6 +105,62 @@ def basis_elements(n: int, a: int, b: int) -> tuple[np.ndarray, ...]:
     return tuple(choi_basis_element(n, a, b, p) for p in enumerate_sym(a + b + 1))
 
 
+def check_coefficients(coeffs: Mapping[Permutation, object], k1: int) -> None:
+    """Refuse a coefficient table unless its permutations have degree k1,
+    its sum of moduli sum |c|, which bounds every Choi entry, is finite,
+    and it meets the self-adjointness pairing f(pi^-1) = conj(f(pi)).
+    Values may be arrays over grid points: each point is judged."""
+    perms = list(coeffs)
+    for p in perms:
+        if p.degree != k1:
+            raise ParameterError(f"permutation {p} has degree {p.degree}, expected {k1}")
+    if not perms:
+        return
+    values = np.array([coeffs[p] for p in perms])
+    with np.errstate(over="ignore"):  # abs overflows to inf, which is refused
+        moduli = np.abs(values)
+        total = moduli.sum(axis=0).max()
+    if not np.isfinite(total):
+        raise ParameterError(f"sum |c| of the coefficients is not finite: {total}")
+    zero = np.zeros(values.shape[1:])
+    mates = np.array([coeffs.get(p.inverse(), zero) for p in perms])
+    broken = np.abs(mates - values.conj()) > _PAIRING_RTOL * (1.0 + moduli)
+    if broken.any():
+        i = int(np.argmax(broken.reshape(len(perms), -1).any(axis=1)))
+        raise ContractViolation(
+            f"coefficients break the self-adjointness pairing at {perms[i]}: "
+            f"f(pi^-1) = {mates[i]} vs conj(f(pi)) = {values[i].conjugate()}"
+        )
+
+
+def scatter_terms(n: int, a: int, b: int, coeffs: Mapping[Permutation, object]) -> list:
+    """(f(pi), rows, cols) for every pi in enumerate_sym order whose
+    coefficient is not zero (at some grid point, for array values)."""
+    return [
+        (coeffs[p], *index_map(n, a, b, p))
+        for p in enumerate_sym(a + b + 1)
+        if np.count_nonzero(coeffs.get(p, 0.0))
+    ]
+
+
+def scatter(terms, side: int) -> np.ndarray:
+    """Leading side x side corner of sum_pi f(pi) * basis element of pi.
+
+    Only the index-map positions inside the corner are added, in the
+    order of terms, so every entry equals the whole matrix's bit for bit.
+    Coefficients that are arrays over grid points, all of one shape, give
+    a stack with one corner per point on the leading axes; real
+    coefficients give a real one.
+    """
+    coeffs = [np.asarray(c) for c, _, _ in terms]
+    points = coeffs[0].shape if coeffs else ()
+    C = np.zeros(points + (side, side), np.result_type(float, *coeffs))
+    for c, (_, rows, cols) in zip(coeffs, terms):
+        keep = (rows < side) & (cols < side)
+        C[..., rows[keep], cols[keep]] += c[..., None]
+    return C
+
+
 @dataclass(frozen=True, eq=False)
 class EquivariantSpec:
     """Coefficient data for a map with signature (a, b) on M_n.
@@ -121,41 +177,32 @@ class EquivariantSpec:
 
     def __post_init__(self):
         check_signature(self.n, self.a, self.b)
-        k1 = self.a + self.b + 1
         coeffs = {p: complex(c) for p, c in self.coeffs.items()}
         object.__setattr__(self, "coeffs", coeffs)
-        # sum |c| bounds every Choi entry; hypot returns inf where abs() raises.
-        total = sum(math.hypot(c.real, c.imag) for c in coeffs.values())
-        if not math.isfinite(total):
-            raise ParameterError(f"sum |c| of the coefficients is not finite: {total}")
-        for p, c in coeffs.items():
-            if p.degree != k1:
-                raise ParameterError(
-                    f"permutation {p} has degree {p.degree}, expected {k1}"
-                )
-            mate = coeffs.get(p.inverse(), 0.0)
-            if abs(mate - c.conjugate()) > _PAIRING_RTOL * (1.0 + abs(c)):
-                raise ContractViolation(
-                    f"coefficients break the self-adjointness pairing at {p}: "
-                    f"f(pi^-1) = {mate} vs conj(f(pi)) = {c.conjugate()}"
-                )
+        check_coefficients(coeffs, self.a + self.b + 1)
 
     @property
     def k(self) -> int:
         return self.a + self.b
 
+    @cached_property
+    def terms(self) -> list:
+        """scatter_terms of the spec, found once."""
+        return scatter_terms(self.n, self.a, self.b, self.coeffs)
+
+    def corner(self, side: int) -> np.ndarray:
+        """Leading side x side corner of the Choi matrix; side n^(k+1) is
+        the whole of it."""
+        return scatter(self.terms, side).astype(complex, copy=False)
+
 
 def build_equivariant(spec: EquivariantSpec, label: str = "") -> MapRep:
-    """Synthesize the Choi matrix sum_pi f(pi) * basis element of pi."""
-    C = np.zeros((spec.n ** (spec.k + 1),) * 2, dtype=complex)
-    for p in enumerate_sym(spec.k + 1):
-        c = spec.coeffs.get(p, 0.0)
-        if c != 0.0:
-            C[index_map(spec.n, spec.a, spec.b, p)] += c
+    """The map sum_pi f(pi) * basis element of pi, held as its spec: the
+    dense Choi matrix is scattered on first read."""
     return MapRep(
         n=spec.n,
         N=spec.n**spec.k,
-        choi=C,
+        spec=spec,
         label=label or f"equivariant(n={spec.n},a={spec.a},b={spec.b})",
         equivariance=Equivariance("ab", spec.a, spec.b),
     )
@@ -182,9 +229,7 @@ def decompose_equivariant(C, n: int, a: int, b: int):
     G = gram_matrix(k1, n).mat
     t = np.array([C[m].sum() for m in maps])
     f = np.linalg.pinv(G, rcond=_PINV_RCOND) @ t
-    recon = np.zeros_like(C)
-    for c, m in zip(f, maps):
-        recon[m] += c
+    recon = scatter([(c, *m) for c, m in zip(f, maps)], dim)
     residual = frobenius_norm(C - recon)
     return {p: complex(c) for p, c in zip(perms, f)}, float(residual)
 
@@ -238,7 +283,8 @@ def attest_ab_equivariance(
             f"commutator check failed: max relative norm "
             f"{report.max_rel_commutator_norm:.3e} > {tol:.0e}"
         )
-    return replace(rep, equivariance=Equivariance("ab", a, b))
+    return MapRep(rep.n, rep.N, choi=rep.choi, label=rep.label,
+                  equivariance=Equivariance("ab", a, b))
 
 
 @dataclass(frozen=True, eq=False)

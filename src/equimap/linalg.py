@@ -145,7 +145,8 @@ def check_hermitian(M: np.ndarray, what: str = "matrix") -> list[np.ndarray]:
     asym = float(reduce(np.maximum, [
         np.abs(B - B.conj().swapaxes(1, 2)).max(initial=0.0) for B in blocks]))
     top = float(reduce(np.maximum, [np.abs(B).max(initial=0.0) for B in blocks]))
-    if not asym <= HERMITICITY_RTOL * (1.0 + top):
+    # An overflowing asymmetry fails even against an overflowing scale.
+    if not (asym <= HERMITICITY_RTOL * (1.0 + top) and math.isfinite(asym)):
         raise ContractViolation(
             f"{what} is not Hermitian: max|M - M*| = {asym:.3e} "
             f"exceeds {HERMITICITY_RTOL:.0e} * (1 + max|entry|)"
@@ -163,10 +164,12 @@ def hermitian_eig(M, vectors: bool = True):
 
     Eigenvalues alone are solved on the blocks check_hermitian gathered,
     equal-sized blocks in one stacked call; they equal the dense solve's
-    up to rounding.
+    up to rounding.  A float64 matrix stays real.
     """
-    M = as_matrix(M)
-    if M.shape[0] != M.shape[1]:
+    M = np.asarray(M)
+    if M.dtype != np.float64:
+        M = as_matrix(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ShapeError(f"eigendecomposition needs a square matrix, got {M.shape}")
     blocks = check_hermitian(M)
     if vectors:

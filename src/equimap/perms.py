@@ -14,7 +14,8 @@ import numpy as np
 from .errors import CapacityError, ParameterError
 
 # The one size budget on the side of every dense operator a request sizes
-# (an (a, b) operator, a state, a Choi matrix, S_k); read only below.  The
+# (an (a, b) operator, a state, a Choi matrix, S_k), and on the count of
+# work items; read only below and by the scan's stack chunks.  The
 # ampliation id_m x Phi is still outside it: the one MemoryError source.
 MAX_REP_DIM = 1024
 
@@ -27,6 +28,18 @@ def check_budget(side: int, what: str) -> int:
             f"{what} needs a dense side of {side}, over the size cap MAX_REP_DIM = {MAX_REP_DIM}"
         )
     return side
+
+
+def check_work(count: int, what: str) -> int:
+    """Return count, or raise CapacityError when a request asks for more
+    than one dense operator's worth, MAX_REP_DIM^2, of work items (scan
+    grid points, falsifier trials, family unitary entries); call before
+    any work starts."""
+    if count > MAX_REP_DIM**2:
+        raise CapacityError(
+            f"{what} number {count}, over the work cap MAX_REP_DIM^2 = {MAX_REP_DIM**2}"
+        )
+    return count
 
 
 # S_k is k! elements with a k!-side Gram matrix, so the budget admits 6.

@@ -20,6 +20,7 @@ from .errors import ContractViolation, ParameterError
 from .linalg import (
     DEFAULT_TOL, complex_gaussian, hermitian_eig, psd_eig, rng_from_seed, subseed,
 )
+from .perms import check_work
 
 
 def _require_block_criterion(rep: MapRep) -> None:
@@ -115,6 +116,7 @@ def k_positivity_falsify(
         raise ParameterError(f"k = {k} outside 1..{rep.n}")
     if trials < 1:
         raise ParameterError(f"trial count must be positive, got {trials}")
+    check_work(trials, "falsifier trials")
     for t in range(trials):
         psi = complex_gaussian(rng_from_seed(subseed(seed, t)), k * rep.n)
         psi = psi / np.linalg.norm(psi)

@@ -20,17 +20,21 @@ All formulas act on A in M_n; B denotes the unnormalized Bell matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .choi import Equivariance, MapRep
 from .errors import ParameterError
-from .equivariant import EquivariantSpec, build_equivariant
+from .equivariant import (
+    EquivariantSpec, build_equivariant, check_coefficients, check_signature, scatter,
+    scatter_terms,
+)
 from .grammar import grammar_text, parse_spec
-from .linalg import as_matrix, matrix_rank
-from .perms import check_budget, enumerate_sym
-from .positivity import DEFAULT_TOL, k_positivity
+from .linalg import as_matrix, matrix_rank, psd_eig
+from .perms import MAX_REP_DIM, check_budget, check_work, enumerate_sym
+from .positivity import DEFAULT_TOL
 
 # Cycle string -> permutation, per degree a+b+1 of the zoo's signatures.
 _PERMS = {k: {p.cycle_string(): p for p in enumerate_sym(k)} for k in (2, 3)}
@@ -45,12 +49,14 @@ def _check_n(n: int) -> None:
         raise ParameterError(f"dimension must be at least 2, got {n}")
 
 
-def _reals(**params) -> list[float]:
-    """The parameters as floats; a complex-typed value is refused."""
+def _reals(**params) -> list:
+    """The parameters as floats, or float arrays for grids; a
+    complex-typed value is refused."""
     for name, value in params.items():
-        if isinstance(value, (complex, np.complexfloating)):
+        if np.iscomplexobj(value):
             raise ParameterError(f"{name} must be real, got {value}")
-    return [float(v) for v in params.values()]
+    return [float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
+            for v in params.values()]
 
 
 def _ab_map(n: int, a: int, b: int, table: dict, label: str) -> MapRep:
@@ -96,14 +102,20 @@ def tomiyama_map(n: int, lam: float) -> MapRep:
     return _ab_map(n, 0, 1, {"()": lam / n, "(1 2)": 1.0 - lam}, label)
 
 
-def _collins(name, params, n, alpha, beta, gamma, allow_small_n) -> MapRep:
+def _collins_table(n, alpha, beta, gamma, allow_small_n=False) -> dict:
+    """Coefficients of collins3 (collins at gamma = 0); grid arrays give
+    one table per grid point."""
     if n < 3 and not allow_small_n:
         raise ParameterError(
             f"this family is stated for n >= 3 (got n={n}); "
             "pass allow_small_n=True to explore anyway"
         )
-    table = {"()": alpha, "(1 2)": 1.0, "(1 3)": 1.0, "(2 3)": beta,
-             "(1 2 3)": gamma, "(1 3 2)": gamma}
+    return {"()": alpha, "(1 2)": 1.0, "(1 3)": 1.0, "(2 3)": beta,
+            "(1 2 3)": gamma, "(1 3 2)": gamma}
+
+
+def _collins(name, params, n, alpha, beta, gamma, allow_small_n) -> MapRep:
+    table = _collins_table(n, alpha, beta, gamma, allow_small_n)
     suffix = ",unvalidated-n" if n < 3 else ""
     return _ab_map(n, 1, 1, table, f"{name}({params}{suffix})")
 
@@ -139,13 +151,19 @@ def conjugation_map(M) -> MapRep:
     by M U M^-1.  Singular M gets no declaration.
     """
     M = as_matrix(M)
-    if not np.isfinite(M).all():
-        raise ParameterError("conjugation matrix entries must be finite numbers")
     if M.shape[0] != M.shape[1]:
         raise ParameterError(f"conjugation needs a square matrix, got {M.shape}")
     n = M.shape[0]
     _check_n(n)
     check_budget(n * n, "the Choi matrix")
+    # Every entry of v v* is at most max|M|^2 in modulus.
+    with np.errstate(over="ignore"):
+        top = float(np.abs(M).max())
+    if not math.isfinite(top * top):
+        raise ParameterError(
+            f"conjugation matrix entries must be finite numbers whose squares "
+            f"are finite, got max|M| = {top:.3e}"
+        )
     # C = v v* with v = sum_i e_i x M e_i, so entry (i, p) of v is M[p, i].
     v = M.T.reshape(-1)
     choi = np.outer(v, v.conj())
@@ -215,26 +233,41 @@ def positivity_scan(
 ) -> list[dict]:
     """Grid scan of the two-parameter family (three-parameter when gamma
     is given): per point, the block verdicts at k=1 (positivity) and
-    k=n (complete positivity)."""
+    k=n (complete positivity).
+
+    The grid is one coefficient array per permutation, scattered into
+    stacks of whole Choi matrices, each stack at most MAX_REP_DIM^2
+    entries, and each corner is one psd_eig verdict; no map is built per
+    point.  The coefficients are real, so the stacks are."""
+    points = check_work(len(alphas) * len(betas), "scan grid points")
+    if not points:
+        return []
+    alphas, betas, g = _reals(alpha=alphas, beta=betas, gamma=0.0 if gamma is None else gamma)
+    grid = _collins_table(n, np.repeat(alphas, betas.size), np.tile(betas, alphas.size), g)
+    check_signature(n, 1, 1)
+    coeffs = {_PERMS[3][s]: np.broadcast_to(c, (points,)) for s, c in grid.items()}
+    check_coefficients(coeffs, 3)
+    terms = scatter_terms(n, 1, 1, coeffs)
+    N, side = n * n, n**3
+    chunk = max(1, MAX_REP_DIM**2 // side**2)
+    verdicts = []
+    for start in range(0, points, chunk):
+        part = slice(start, start + chunk)
+        # Only the comprehension holds the stack, so it is freed before the next.
+        verdicts += [(psd_eig(C[:N, :N], tol), psd_eig(C, tol))
+                     for C in scatter([(c[part], *maps) for c, *maps in terms], side)]
     rows = []
-    for alpha in alphas:
-        for beta in betas:
-            if gamma is None:
-                rep = collins_map(n, alpha, beta)
-            else:
-                rep = collins3_map(n, alpha, beta, gamma)
-            pos, e1 = k_positivity(rep, 1, tol)
-            cp, en = k_positivity(rep, n, tol)
-            row = {
-                "alpha": float(alpha),
-                "beta": float(beta),
-                "k1MinEig": e1,
-                "knMinEig": en,
-                "positive": pos,
-                "cp": cp,
-                "positiveNotCp": pos and not cp,
-            }
-            if gamma is not None:
-                row["gamma"] = float(gamma)
-            rows.append(row)
+    for alpha, beta, ((pos, e1), (cp, en)) in zip(grid["()"], grid["(2 3)"], verdicts):
+        row = {
+            "alpha": float(alpha),
+            "beta": float(beta),
+            "k1MinEig": e1,
+            "knMinEig": en,
+            "positive": pos,
+            "cp": cp,
+            "positiveNotCp": pos and not cp,
+        }
+        if gamma is not None:
+            row["gamma"] = float(gamma)
+        rows.append(row)
     return rows

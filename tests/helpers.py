@@ -7,15 +7,18 @@ one Permutation.compose per pair, the loop that the vectorised
 perms.gram_matrix replaced.  ZOO_MAPS and draw_state are hypothesis
 strategies for the property tests of positivity and detection.
 hermiticity_refusal reads the Hermiticity rule on the whole matrix, the
-oracle of the block-by-block check.
+oracle of the block-by-block check.  scan_oracle builds one map per grid
+point, the path that positivity_scan's stacked scatter replaced.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 
 from equimap.detection import DensityMatrix, isotropic_state, random_pure
-from equimap.linalg import HERMITICITY_RTOL, complex_gaussian
+from equimap.choi import block_matrix
+from equimap.linalg import DEFAULT_TOL, HERMITICITY_RTOL, complex_gaussian, frobenius_norm
 from equimap.perms import enumerate_sym
+from equimap.positivity import k_positivity
 from equimap.zoo import (
     bhat_map,
     choi_map,
@@ -52,12 +55,12 @@ def draw_state(data, n):
 
 def hermiticity_refusal(M, what="matrix"):
     """The refusal message of the Hermiticity rule, max|M - M*| <=
-    HERMITICITY_RTOL * (1 + max|entry|), read with numpy on the whole of
-    M; None when M passes."""
+    HERMITICITY_RTOL * (1 + max|entry|) with a finite max|M - M*|, read
+    with numpy on the whole of M; None when M passes."""
     M = np.asarray(M, dtype=complex)
     asym = float(np.abs(M - M.conj().T).max())
     top = float(np.abs(M).max())
-    if asym <= HERMITICITY_RTOL * (1.0 + top):
+    if asym <= HERMITICITY_RTOL * (1.0 + top) and np.isfinite(asym):
         return None
     return (
         f"{what} is not Hermitian: max|M - M*| = {asym:.3e} "
@@ -104,3 +107,18 @@ def pairwise_cycle_counts(k):
         for j in range(i, size):
             counts[i, j] = counts[j, i] = inverses[i].compose(perms[j]).cycle_count()
     return counts
+
+
+def scan_oracle(n, alphas, betas, gamma=None, tol=DEFAULT_TOL):
+    """Per grid point of positivity_scan, in its row order: for k = 1 and
+    k = n, (flag, minEig, ||corner||_F) of k_positivity on the built map."""
+    points = []
+    for alpha in alphas:
+        for beta in betas:
+            if gamma is None:
+                rep = collins_map(n, alpha, beta)
+            else:
+                rep = collins3_map(n, alpha, beta, gamma)
+            points.append([(*k_positivity(rep, k, tol), frobenius_norm(block_matrix(rep, k)))
+                           for k in (1, n)])
+    return points

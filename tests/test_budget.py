@@ -1,15 +1,22 @@
 """The one size budget: every constructor that allocates a dense operator
 whose side a request sets refuses an over-budget side with CapacityError
-before it allocates anything."""
+before it allocates anything.  Beside it, one count budget bounds the
+work items a request asks for."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+import equimap.cli as cli
 import equimap.detection as detection
+import equimap.positivity as positivity
+import equimap.zoo as zoo
 from equimap.choi import choi_of_map
-from equimap.detection import DensityMatrix, isotropic_state, product_state, random_pure
+from equimap.detection import (
+    DensityMatrix, isotropic_state, product_state, random_pure, sampled_detector,
+)
 from equimap.diagram import matrix_from_wiring, wiring
 from equimap.equivariant import check_signature
 from equimap.errors import CapacityError
@@ -18,10 +25,12 @@ from equimap.perms import (
     MAX_SYM_DEGREE,
     Permutation,
     check_budget,
+    check_work,
     enumerate_sym,
     sigma_rep,
 )
-from equimap.zoo import conjugation_map
+from equimap.positivity import k_positivity_falsify
+from equimap.zoo import choi_map, conjugation_map
 
 
 def _never_called(X):
@@ -104,3 +113,43 @@ class TestBudget:
         monkeypatch.setattr(owner, step, fail)
         with pytest.raises(CapacityError):
             build()
+
+
+class TestWorkBudget:
+    """The one count budget, MAX_REP_DIM^2 work items, refuses scan grids,
+    falsifier trials and detector families before any work starts."""
+
+    CAP = MAX_REP_DIM**2
+
+    def test_boundary(self):
+        assert check_work(self.CAP, "items") == self.CAP
+        with pytest.raises(CapacityError, match=r"MAX_REP_DIM\^2 = 1048576"):
+            check_work(self.CAP + 1, "items")
+
+    def test_scan_grid_is_refused_before_any_verdict(self, monkeypatch):
+        monkeypatch.setattr(zoo, "psd_eig", lambda *args: pytest.fail("a verdict ran"))
+        with pytest.raises(CapacityError, match="scan grid points"):
+            zoo.positivity_scan(3, np.zeros(1025), np.zeros(1024))
+
+    def test_falsifier_trials_are_refused_before_any_trial(self, monkeypatch):
+        monkeypatch.setattr(positivity, "rng_from_seed", lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(CapacityError, match="falsifier trials"):
+            k_positivity_falsify(choi_map(3), 2, trials=self.CAP + 1)
+
+    def test_family_is_refused_before_any_unitary(self, monkeypatch):
+        # The family holds a unitaries of n^2 entries each.
+        assert len(sampled_detector(choi_map(4), 3, seed=0).unitaries) == 3
+        monkeypatch.setattr(detection, "haar_from_rng", lambda *args: pytest.fail("a draw ran"))
+        with pytest.raises(CapacityError, match="family unitaries"):
+            sampled_detector(choi_map(4), self.CAP // 16 + 1, seed=0)
+
+    def test_cli_refuses_a_huge_scan_grid_before_the_ranges_exist(self, capsys):
+        # 10^10 grid points: the scan ran for minutes before the budget.
+        started = time.perf_counter()
+        code = cli.main(["scan", "--map", "collins", "--n", "3",
+                         "--alpha", "0:1:100000", "--beta", "0:1:100000"])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - started < 1.0
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("usage error:")
+        assert "MAX_REP_DIM^2" in captured.err

@@ -3,6 +3,10 @@ extension by an identity factor."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import random_paired_coeffs
 
 from equimap.choi import (
     Equivariance,
@@ -14,8 +18,10 @@ from equimap.choi import (
     choi_of_map,
     extend_map,
 )
+from equimap.equivariant import EquivariantSpec, build_equivariant, choi_basis_element
 from equimap.errors import ContractViolation, ParameterError, ShapeError
 from equimap.linalg import complex_gaussian, hermitian_eig, rng_from_seed
+from equimap.perms import enumerate_sym
 
 
 class TestBell:
@@ -49,6 +55,25 @@ class TestMapRep:
         assert rep.choi[0, 0] == 1.0
         with pytest.raises(ValueError):
             rep.choi[0, 0] = 7.0
+
+    def test_needs_exactly_one_of_choi_and_spec(self):
+        spec = EquivariantSpec(n=2, a=0, b=1, coeffs={})
+        with pytest.raises(ParameterError, match="exactly one"):
+            MapRep(n=2, N=2)
+        with pytest.raises(ParameterError, match="exactly one"):
+            MapRep(n=2, N=2, choi=np.eye(4), spec=spec)
+
+    def test_is_immutable(self):
+        rep = MapRep(n=2, N=2, choi=np.eye(4))
+        with pytest.raises(AttributeError):
+            rep.label = "other"
+
+    def test_built_map_scatters_its_choi_once_and_keeps_it_read_only(self):
+        rep = build_equivariant(EquivariantSpec(n=2, a=0, b=1, coeffs={}))
+        assert rep.choi is rep.choi
+        assert rep.choi.dtype == complex and not rep.choi.any()
+        with pytest.raises(ValueError):
+            rep.choi[0, 0] = 1.0
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ShapeError):
@@ -150,6 +175,26 @@ class TestBlocks:
             blk = block_matrix(rep, k)
             assert blk.shape == (3 * k, 3 * k)
             assert np.array_equal(blk, rep.choi[: 3 * k, : 3 * k])
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_built_map_corners_are_the_choi_corners(self, data):
+        # A built map scatters its corners from its coefficients; they,
+        # and the dense Choi read afterwards, are bit for bit the sum of
+        # the dense basis elements in enumerate_sym order.
+        a, b = data.draw(st.sampled_from([(0, 1), (1, 0), (1, 1), (0, 2), (2, 0)]), label="a,b")
+        n = data.draw(st.integers(2, 4), label="n")
+        coeffs = random_paired_coeffs(a + b + 1, rng_from_seed(data.draw(st.integers(0, 2**32 - 1))))
+        rep = build_equivariant(EquivariantSpec(n=n, a=a, b=b, coeffs=coeffs))
+        corners = [block_matrix(rep, k) for k in range(1, n + 1)]
+        dense = np.zeros((n ** (a + b + 1),) * 2, dtype=complex)
+        for p in enumerate_sym(a + b + 1):
+            dense += coeffs[p] * choi_basis_element(n, a, b, p)
+        assert np.array_equal(rep.choi, dense)
+        for k, corner in enumerate(corners, start=1):
+            d = k * rep.N
+            assert corner.dtype == rep.choi.dtype
+            assert np.array_equal(corner, rep.choi[:d, :d])
 
     def test_bounds(self):
         rep = MapRep(n=2, N=2, choi=np.eye(4))

@@ -251,6 +251,19 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_conjugation_whose_choi_entries_overflow_is_a_usage_error(self, capsys, tmp_path):
+        # 1e200 is finite, but the Choi matrix v v* would hold 1e400: the
+        # outer product overflowed and the Hermiticity check read NaN.
+        path = tmp_path / "huge.json"
+        M = np.eye(3)
+        M[0, 1] = 1e200
+        save_json(str(path), matrix_to_json(M))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "kpos", "--map", f"conj:file={path}", "--k", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:")
+
     def test_numeric_failure_is_exit_3(self, capsys, monkeypatch):
         def boom(args, tol):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
@@ -341,31 +354,76 @@ def _extreme_map_specs():
     return list(specs)
 
 
+_SCAN_EXTREMES = (0.0, 1e-300, -1e-300, 1e300, -1e300, 1e308, -1e308,
+                  float("nan"), float("inf"), float("-inf"))
+
+
+def _extreme_scan_argvs():
+    """scan on both families at n = 3: each extreme value as a range's low
+    end, as a range's high end, as both ends of a span that overflows,
+    and, for collins3, as gamma."""
+    argvs = []
+    for name in ("collins", "collins3"):
+        base = ["scan", "--map", name, "--n", "3"]
+        for x in _SCAN_EXTREMES:
+            argvs += [
+                base + [f"--alpha={x}:1:2", "--beta=0:1:2"],
+                base + ["--alpha=0:1:2", f"--beta=-1:{x}:2"],
+                base + [f"--alpha={-x}:{x}:3", f"--beta={x}:{x}:1"],
+            ]
+            if name == "collins3":
+                argvs.append(base + ["--alpha=0:4:3", "--beta=-1:1:2", f"--gamma={x}"])
+    return argvs
+
+
+def _contract_break(capsys, argv, cells):
+    """None when argv keeps the exit-code contract, else what broke.
+    cells(results) lists the (pass, minEig) verdicts of a run that exits 0."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+    except Exception as exc:  # every escape, warnings included, is a finding
+        capsys.readouterr()
+        return f"raised {exc!r}"
+    if code == 0:
+        results = json.loads(out)["results"]
+        if err or any(passed and not np.isfinite(eig) for passed, eig in cells(results)):
+            return f"exit 0, stderr {err!r}, results {results}"
+    elif code not in _STDERR_PREFIXES or not err.startswith(_STDERR_PREFIXES[code]):
+        return f"exit {code}: {err!r}"
+    return None
+
+
 class TestExtremeValues:
-    """The exit-code contract on the map grammar's extreme values: every
-    run returns 0, 1 or 2 with its documented stderr prefix, and raises
-    nothing, warnings included."""
+    """The exit-code contract on extreme values: every run returns 0, 1 or
+    2 with its documented stderr prefix, raises nothing, warnings
+    included, and every passing verdict has a finite minEig."""
 
     @pytest.mark.parametrize("command", [("kpos", "--k", "1"), ("profile",)], ids=["kpos", "profile"])
     def test_every_run_keeps_the_exit_code_contract(self, capsys, command):
+        if command[0] == "kpos":
+            cells = lambda r: [(r["pass"], r["minEig"])]
+        else:
+            cells = lambda r: [(pt["pass"], pt["minEig"]) for pt in r["perK"]]
         broken = []
         for spec in _extreme_map_specs():
             argv = [command[0], "--map", spec, *command[1:]]
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    code, out, err = run(capsys, *argv)
-            except Exception as exc:  # every escape, warnings included, is a finding
-                broken.append((argv, f"raised {exc!r}"))
-                capsys.readouterr()
-                continue
-            if code == 0:
-                results = json.loads(out)["results"]
-                passes = [results] if command[0] == "kpos" else results["perK"]
-                if err or any(pt["pass"] and not np.isfinite(pt["minEig"]) for pt in passes):
-                    broken.append((argv, f"exit 0, stderr {err!r}, results {results}"))
-            elif code not in _STDERR_PREFIXES or not err.startswith(_STDERR_PREFIXES[code]):
-                broken.append((argv, f"exit {code}: {err!r}"))
+            why = _contract_break(capsys, argv, cells)
+            if why is not None:
+                broken.append((argv, why))
+        assert not broken, f"{len(broken)} runs broke the contract, first: {broken[:5]}"
+
+    def test_every_scan_keeps_the_exit_code_contract(self, capsys):
+        def cells(results):
+            return [(row[flag], row[eig]) for row in results["grid"]
+                    for flag, eig in (("positive", "k1MinEig"), ("cp", "knMinEig"))]
+
+        broken = []
+        for argv in _extreme_scan_argvs():
+            why = _contract_break(capsys, argv, cells)
+            if why is not None:
+                broken.append((argv, why))
         assert not broken, f"{len(broken)} runs broke the contract, first: {broken[:5]}"
 
 

@@ -11,6 +11,7 @@ from helpers import hermiticity_refusal
 from equimap import linalg
 from equimap.choi import MapRep, block_matrix
 from equimap.errors import ContractViolation, ParameterError, ShapeError
+from equimap.serialize import map_from_json, matrix_to_json
 from equimap.linalg import (
     BLOCK_MIN_SIDE,
     TensorShape,
@@ -145,6 +146,18 @@ class TestHermitianEig:
             assert vecs is None
             full, _ = hermitian_eig(H)
             assert np.max(np.abs(vals - full)) <= 1e-12 * max(1.0, frobenius_norm(H))
+
+    def test_real_matrix_is_solved_in_real_arithmetic(self):
+        # The scan's stacks are real; a complex copy would double their memory.
+        rng = _rng(33)
+        for dim in (6, 2 * BLOCK_MIN_SIDE):
+            Z = rng.standard_normal((dim, dim))
+            H = Z + Z.T
+            vals, vecs = hermitian_eig(H)
+            assert vecs.dtype == np.float64
+            want, _ = hermitian_eig(H.astype(complex), vectors=False)
+            for got in (vals, hermitian_eig(H, vectors=False)[0]):
+                assert np.abs(got - want).max() <= 1e-12 * frobenius_norm(H)
 
     def test_rejects_non_hermitian(self):
         M = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -347,6 +360,26 @@ class TestBlockSolver:
         for M in _both_sides(rng_from_seed(45)):
             M[6, 6] = bad
             assert _assert_dense_verdict(M) is not None
+
+
+class TestOverflowingEntries:
+    """A modulus above the largest double makes max|entry|, and so the
+    rule's scale, infinite; the asymmetry must still be judged."""
+
+    X = 1.7e308 + 1.7e308j
+
+    def test_overflowing_asymmetry_is_refused(self):
+        M = np.zeros((2, 2), dtype=complex)
+        M[0, 1] = self.X
+        assert "max|M - M*| = inf" in _assert_dense_verdict(M)
+        with pytest.raises(ContractViolation, match="not Hermitian"):
+            map_from_json({"n": 2, "N": 1, "choi": matrix_to_json(M)})
+
+    def test_hermitian_pair_with_overflowing_moduli_is_accepted(self):
+        M = np.zeros((2, 2), dtype=complex)
+        M[0, 1], M[1, 0] = self.X, np.conj(self.X)
+        assert check_hermitian(M) is not None
+        assert MapRep(n=2, N=1, choi=M).choi[0, 1] == self.X
 
 
 class TestPsdEig:

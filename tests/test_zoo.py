@@ -1,15 +1,21 @@
 """Named map constructors, their closed formulas, and the spec grammar."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import raw_choi
+from helpers import raw_choi, scan_oracle
 
+from equimap import zoo
 from equimap.choi import bell_matrix
 from equimap.equivariant import check_ab_equivariance, decompose_equivariant
 from equimap.errors import ParameterError
 from equimap.linalg import haar_unitary, rng_from_seed, complex_gaussian
 from equimap.perms import Permutation
+from equimap.positivity import k_positivity
 from equimap.zoo import (
     MAP_SPECS,
     ZooEntry,
@@ -286,3 +292,60 @@ class TestScan:
         # Adding enough of Tr(A) 1 dominates any fixed deficit.
         rows = positivity_scan(3, [25.0], [0.0])
         assert rows[0]["cp"]
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_rows_match_one_built_map_per_point(self, data):
+        n = data.draw(st.integers(3, 4), label="n")
+        values = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4)
+        alphas = data.draw(values, label="alphas")
+        betas = data.draw(values, label="betas")
+        gamma = data.draw(st.none() | st.floats(-2.0, 2.0), label="gamma")
+        rows = positivity_scan(n, alphas, betas, gamma=gamma)
+        oracle = scan_oracle(n, alphas, betas, gamma)
+        assert len(rows) == len(oracle) == len(alphas) * len(betas)
+        for row, point in zip(rows, oracle):
+            for (flag, eig, norm), (got_flag, got_eig) in zip(
+                point, [(row["positive"], row["k1MinEig"]), (row["cp"], row["knMinEig"])]
+            ):
+                band = 1e-12 * max(1.0, norm)
+                assert abs(got_eig - eig) <= band
+                if abs(eig + 1e-9 * max(1.0, norm)) > band:
+                    assert got_flag == flag
+
+    def test_rows_keep_the_grid_order(self):
+        rows = positivity_scan(3, [0.0, 1.0, 2.0], [-1.0, 0.5], gamma=0.25)
+        assert [(r["alpha"], r["beta"], r["gamma"]) for r in rows] == [
+            (a, b, 0.25) for a in (0.0, 1.0, 2.0) for b in (-1.0, 0.5)
+        ]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e308])
+    def test_non_finite_coefficients_are_refused_before_any_verdict(self, bad, monkeypatch):
+        # 1e308 is finite, but the sum of the coefficients' moduli is not.
+        monkeypatch.setattr(zoo, "psd_eig", lambda *args: pytest.fail("a verdict ran"))
+        with pytest.raises(ParameterError, match="not finite"):
+            positivity_scan(3, [0.0, 1e308], [0.0, bad])
+
+
+class TestCornerMemory:
+    """A built map's verdicts scatter only the corners they read: at n = 10
+    the full (1,1) Choi matrix is 1000^2 complex entries, 16 MB."""
+
+    FULL = 1000**2 * 16
+
+    def _peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_k_positivity_stays_below_the_full_choi(self):
+        peak = self._peak(lambda: k_positivity(collins3_map(10, 0.3, -1.2, 0.7), 1))
+        assert peak < self.FULL / 4
+
+    def test_scan_stays_below_the_full_choi(self):
+        # The k = n corner is the whole matrix; the scan's stack is real.
+        peak = self._peak(lambda: positivity_scan(10, [0.5, 2.0], [-1.0, 0.0], gamma=0.2))
+        assert peak < self.FULL
