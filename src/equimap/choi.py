@@ -178,7 +178,8 @@ def apply_map(rep: MapRep, X) -> np.ndarray:
 def block_matrix(rep: MapRep, k: int) -> np.ndarray:
     """Compression [Phi(e_ij)]_{i,j=1..k}: the leading kN x kN corner of the
     Choi, scattered from the spec of a built map, so its dense Choi is
-    never read."""
+    never read.  Verdicts on built maps of a+b+1 <= 4 read no corner (see
+    algebra); this is their dense oracle."""
     if not 1 <= k <= rep.n:
         raise ParameterError(f"k = {k} outside 1..{rep.n}")
     d = k * rep.N

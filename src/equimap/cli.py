@@ -354,8 +354,9 @@ def _run(args, tol: float):
 
 
 def _fold_range_values(argv):
-    # argparse reads a range starting at a negative number ("-1:0:5") as
-    # an unknown flag; fold such values onto their option with "=".
+    # argparse reads a value starting with "-" as a flag unless it is a
+    # plain negative number, so a range ("-1:0:5") or an exponent
+    # ("-1e-3") is folded onto its option with "=".
     out = []
     skip = False
     for i, tok in enumerate(argv):
@@ -363,7 +364,7 @@ def _fold_range_values(argv):
             skip = False
             continue
         nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in ("--alpha", "--beta") and nxt is not None and nxt.startswith("-"):
+        if tok in ("--alpha", "--beta", "--gamma") and nxt is not None and nxt.startswith("-"):
             out.append(f"{tok}={nxt}")
             skip = True
         else:

@@ -25,7 +25,7 @@ in the zoo; tests verify the table by brute force on matrix units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -49,7 +49,7 @@ from .linalg import (
 from .perms import Permutation, check_budget, enumerate_sym, gram_matrix, sigma_rep
 
 _PAIRING_RTOL = 1e-12
-_PINV_RCOND = 1e-10
+PINV_RCOND = 1e-10
 # Default bound on the relative commutator norm of the sampled check.
 COMMUTATOR_TOL = 1e-8
 
@@ -78,9 +78,11 @@ def choi_basis_element(n: int, a: int, b: int, perm: Permutation) -> np.ndarray:
     return partial_transpose(sigma_rep(perm, n), shape, range(1, a + 2))
 
 
+@lru_cache(maxsize=256)
 def index_map(n: int, a: int, b: int, perm: Permutation):
     """Positions (rows, cols) of the n^(a+b+1) ones of the basis element
-    of perm, row-major in the row digits.
+    of perm, row-major in the row digits, as read-only arrays kept for the
+    most recent 256 calls.
 
     A column carries the row digits permuted by perm, then the row and
     column digits trade places on the transposed legs 1..a+1.
@@ -95,7 +97,10 @@ def index_map(n: int, a: int, b: int, perm: Permutation):
     permuted = digits[list(perm.images)]
     rows = np.concatenate([permuted[: a + 1], digits[a + 1 :]])
     cols = np.concatenate([digits[: a + 1], permuted[a + 1 :]])
-    return np.ravel_multi_index(rows, shape), np.ravel_multi_index(cols, shape)
+    maps = np.ravel_multi_index(rows, shape), np.ravel_multi_index(cols, shape)
+    for m in maps:
+        m.setflags(write=False)
+    return maps
 
 
 def basis_elements(n: int, a: int, b: int) -> tuple[np.ndarray, ...]:
@@ -133,31 +138,17 @@ def check_coefficients(coeffs: Mapping[Permutation, object], k1: int) -> None:
         )
 
 
-def scatter_terms(n: int, a: int, b: int, coeffs: Mapping[Permutation, object]) -> list:
-    """(f(pi), rows, cols) for every pi in enumerate_sym order whose
-    coefficient is not zero (at some grid point, for array values)."""
-    return [
-        (coeffs[p], *index_map(n, a, b, p))
-        for p in enumerate_sym(a + b + 1)
-        if np.count_nonzero(coeffs.get(p, 0.0))
-    ]
-
-
 def scatter(terms, side: int) -> np.ndarray:
     """Leading side x side corner of sum_pi f(pi) * basis element of pi.
 
     Only the index-map positions inside the corner are added, in the
-    order of terms, so every entry equals the whole matrix's bit for bit.
-    Coefficients that are arrays over grid points, all of one shape, give
-    a stack with one corner per point on the leading axes; real
-    coefficients give a real one.
+    order of terms, so every entry equals the whole matrix's bit for bit;
+    real coefficients give a real corner.
     """
-    coeffs = [np.asarray(c) for c, _, _ in terms]
-    points = coeffs[0].shape if coeffs else ()
-    C = np.zeros(points + (side, side), np.result_type(float, *coeffs))
-    for c, (_, rows, cols) in zip(coeffs, terms):
+    C = np.zeros((side, side), np.result_type(float, *[c for c, _, _ in terms]))
+    for c, rows, cols in terms:
         keep = (rows < side) & (cols < side)
-        C[..., rows[keep], cols[keep]] += c[..., None]
+        C[rows[keep], cols[keep]] += c
     return C
 
 
@@ -187,8 +178,10 @@ class EquivariantSpec:
 
     @cached_property
     def terms(self) -> list:
-        """scatter_terms of the spec, found once."""
-        return scatter_terms(self.n, self.a, self.b, self.coeffs)
+        """(f(pi), rows, cols) for every pi in enumerate_sym order whose
+        coefficient is not zero, found once."""
+        return [(self.coeffs[p], *index_map(self.n, self.a, self.b, p))
+                for p in enumerate_sym(self.k + 1) if self.coeffs.get(p, 0)]
 
     def corner(self, side: int) -> np.ndarray:
         """Leading side x side corner of the Choi matrix; side n^(k+1) is
@@ -228,7 +221,7 @@ def decompose_equivariant(C, n: int, a: int, b: int):
     maps = [index_map(n, a, b, p) for p in perms]
     G = gram_matrix(k1, n).mat
     t = np.array([C[m].sum() for m in maps])
-    f = np.linalg.pinv(G, rcond=_PINV_RCOND) @ t
+    f = np.linalg.pinv(G, rcond=PINV_RCOND) @ t
     recon = scatter([(c, *m) for c, m in zip(f, maps)], dim)
     residual = frobenius_norm(C - recon)
     return {p: complex(c) for p, c in zip(perms, f)}, float(residual)

@@ -199,12 +199,27 @@ def psd_eig(M, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     if not vals.size:
         raise ShapeError("a positivity verdict needs a nonempty matrix")
     with np.errstate(over="ignore"):
-        bound = tol * max(1.0, frobenius_norm(M))
-    if not math.isfinite(bound):  # ||M||_F overflowed: (tol ||M/top||_F) top
+        norm = frobenius_norm(M)
+
+    def rescaled():
         top = float(np.abs(M).max())
-        bound = tol * frobenius_norm(as_matrix(M) / top) * top
+        return frobenius_norm(as_matrix(M) / top), top
+
     min_eig = float(vals[0])
-    return min_eig >= -bound, min_eig
+    return psd_passes(min_eig, tol, norm, rescaled), min_eig
+
+
+def psd_passes(min_eig: float, tol: float, norm: float, rescaled) -> bool:
+    """The threshold of every positivity verdict: min_eig >= -tol *
+    max(1, ||M||_F), given norm = ||M||_F.  When the bound overflows,
+    rescaled() returns (||M/top||_F, top) for a top > 0 and the bound is
+    (tol ||M/top||_F) top, which stays finite."""
+    tol = float(tol)  # Python floats overflow to inf without a warning
+    bound = tol * max(1.0, norm)
+    if not math.isfinite(bound):
+        rel, top = rescaled()
+        bound = tol * rel * top
+    return min_eig >= -bound
 
 
 def frobenius_norm(M) -> float:

@@ -15,8 +15,9 @@ from .errors import CapacityError, ParameterError
 
 # The one size budget on the side of every dense operator a request sizes
 # (an (a, b) operator, a state, a Choi matrix, S_k), and on the count of
-# work items; read only below and by the scan's stack chunks.  The
-# ampliation id_m x Phi is still outside it: the one MemoryError source.
+# work items; read only below and by the coloured algebra (its route and
+# its stack chunks).  The ampliation id_m x Phi is still outside it: the
+# one MemoryError source.
 MAX_REP_DIM = 1024
 
 

@@ -4,9 +4,13 @@ For equivariant maps, k-positivity is equivalent to positive
 semidefiniteness of the block matrix [Phi(e_ij)]_{i,j=1..k}, i.e. the
 leading corner of the Choi matrix.  That equivalence is false for
 general maps, so the fast path is gated on an equivariance declaration.
-The definition-based falsifier works for any map and provides the
+A built map's corner verdict is solved in the coloured walled Brauer
+algebra (algebra.corner_verdicts), on a matrix of side at most 120
+whatever n and k; a map held as a dense Choi matrix, or built with
+a+b+1 >= 5, decides psd_eig on its corner (corner_verdict).  The
+definition-based falsifier works for any map and provides the
 independent cross-check; it reads each output off the Choi matrix by
-congruence (choi_congruence).  Every verdict is one psd_eig call.
+congruence (choi_congruence).
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import corner_verdicts, routes
 from .choi import MapRep, block_matrix
 from .errors import ContractViolation, ParameterError
 from .linalg import (
@@ -32,6 +37,16 @@ def _require_block_criterion(rep: MapRep) -> None:
         )
 
 
+def corner_verdict(rep: MapRep, k: int, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+    """psd_eig's verdict on the order-k corner: from the algebra for a
+    built map whose signature it routes, from the dense block_matrix
+    otherwise."""
+    spec = rep.spec
+    if spec is not None and routes(spec.a, spec.b):
+        return corner_verdicts(spec.n, spec.a, spec.b, spec.coeffs, k, tol)[0]
+    return psd_eig(block_matrix(rep, k), tol)
+
+
 def k_positivity(rep: MapRep, k: int, tol: float = DEFAULT_TOL):
     """(flag, min eigenvalue) of the order-k block compression.
 
@@ -39,7 +54,7 @@ def k_positivity(rep: MapRep, k: int, tol: float = DEFAULT_TOL):
     otherwise rather than silently applying an unsound criterion.
     """
     _require_block_criterion(rep)
-    return psd_eig(block_matrix(rep, k), tol)
+    return corner_verdict(rep, k, tol)
 
 
 @dataclass(frozen=True)
@@ -68,7 +83,7 @@ def positivity_profile(rep: MapRep, tol: float = DEFAULT_TOL) -> PositivityProfi
     points = []
     best = 0
     for k in range(1, kmax + 1):
-        flag, min_eig = psd_eig(block_matrix(rep, k), tol)
+        flag, min_eig = corner_verdict(rep, k, tol)
         points.append(KPositivityPoint(k=k, min_eig=min_eig, passed=flag))
         if flag:
             best = k

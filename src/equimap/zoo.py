@@ -25,15 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import corner_verdicts
 from .choi import Equivariance, MapRep
 from .errors import ParameterError
 from .equivariant import (
-    EquivariantSpec, build_equivariant, check_coefficients, check_signature, scatter,
-    scatter_terms,
+    EquivariantSpec, build_equivariant, check_coefficients, check_signature,
 )
 from .grammar import grammar_text, parse_spec
-from .linalg import as_matrix, matrix_rank, psd_eig
-from .perms import MAX_REP_DIM, check_budget, check_work, enumerate_sym
+from .linalg import as_matrix, matrix_rank, psd_eig  # noqa: F401 (psd_eig is re-exported)
+from .perms import check_budget, check_work, enumerate_sym
 from .positivity import DEFAULT_TOL
 
 # Cycle string -> permutation, per degree a+b+1 of the zoo's signatures.
@@ -235,10 +235,10 @@ def positivity_scan(
     is given): per point, the block verdicts at k=1 (positivity) and
     k=n (complete positivity).
 
-    The grid is one coefficient array per permutation, scattered into
-    stacks of whole Choi matrices, each stack at most MAX_REP_DIM^2
-    entries, and each corner is one psd_eig verdict; no map is built per
-    point.  The coefficients are real, so the stacks are."""
+    The grid is one real coefficient array per permutation, validated per
+    point, and each column is one stacked solve in the coloured algebra
+    (algebra.corner_verdicts), with no map, Choi matrix or corner built
+    per point."""
     points = check_work(len(alphas) * len(betas), "scan grid points")
     if not points:
         return []
@@ -247,15 +247,8 @@ def positivity_scan(
     check_signature(n, 1, 1)
     coeffs = {_PERMS[3][s]: np.broadcast_to(c, (points,)) for s, c in grid.items()}
     check_coefficients(coeffs, 3)
-    terms = scatter_terms(n, 1, 1, coeffs)
-    N, side = n * n, n**3
-    chunk = max(1, MAX_REP_DIM**2 // side**2)
-    verdicts = []
-    for start in range(0, points, chunk):
-        part = slice(start, start + chunk)
-        # Only the comprehension holds the stack, so it is freed before the next.
-        verdicts += [(psd_eig(C[:N, :N], tol), psd_eig(C, tol))
-                     for C in scatter([(c[part], *maps) for c, *maps in terms], side)]
+    verdicts = zip(corner_verdicts(n, 1, 1, coeffs, 1, tol),
+                   corner_verdicts(n, 1, 1, coeffs, n, tol))
     rows = []
     for alpha, beta, ((pos, e1), (cp, en)) in zip(grid["()"], grid["(2 3)"], verdicts):
         row = {

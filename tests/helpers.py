@@ -8,7 +8,8 @@ perms.gram_matrix replaced.  ZOO_MAPS and draw_state are hypothesis
 strategies for the property tests of positivity and detection.
 hermiticity_refusal reads the Hermiticity rule on the whole matrix, the
 oracle of the block-by-block check.  scan_oracle builds one map per grid
-point, the path that positivity_scan's stacked scatter replaced.
+point and reads its dense corners, the oracle of positivity_scan's
+stacked solve in the coloured algebra.
 """
 
 import numpy as np
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 
 from equimap.detection import DensityMatrix, isotropic_state, random_pure
 from equimap.choi import block_matrix
-from equimap.linalg import DEFAULT_TOL, HERMITICITY_RTOL, complex_gaussian, frobenius_norm
+from equimap.linalg import (
+    DEFAULT_TOL, HERMITICITY_RTOL, complex_gaussian, frobenius_norm, psd_eig,
+)
 from equimap.perms import enumerate_sym
-from equimap.positivity import k_positivity
 from equimap.zoo import (
     bhat_map,
     choi_map,
@@ -111,7 +113,8 @@ def pairwise_cycle_counts(k):
 
 def scan_oracle(n, alphas, betas, gamma=None, tol=DEFAULT_TOL):
     """Per grid point of positivity_scan, in its row order: for k = 1 and
-    k = n, (flag, minEig, ||corner||_F) of k_positivity on the built map."""
+    k = n, (flag, minEig, ||corner||_F) of psd_eig on the dense corner of
+    the built map."""
     points = []
     for alpha in alphas:
         for beta in betas:
@@ -119,6 +122,6 @@ def scan_oracle(n, alphas, betas, gamma=None, tol=DEFAULT_TOL):
                 rep = collins_map(n, alpha, beta)
             else:
                 rep = collins3_map(n, alpha, beta, gamma)
-            points.append([(*k_positivity(rep, k, tol), frobenius_norm(block_matrix(rep, k)))
-                           for k in (1, n)])
+            corners = [block_matrix(rep, k) for k in (1, n)]
+            points.append([(*psd_eig(C, tol), frobenius_norm(C)) for C in corners])
     return points

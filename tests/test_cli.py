@@ -135,6 +135,15 @@ class TestReports:
         )
         assert len(report["results"]["grid"]) == 4
 
+    def test_scan_gamma_may_be_a_negative_exponent(self, capsys):
+        # "-1e-3" is no plain negative number to argparse, so it is folded
+        # onto --gamma like a range.
+        report = run_json(
+            capsys, "scan", "--map", "collins3", "--n", "3",
+            "--alpha", "0:1:2", "--beta", "0:1:2", "--gamma", "-1e-3",
+        )
+        assert [row["gamma"] for row in report["results"]["grid"]] == [-1e-3] * 4
+
     def test_basis_json_and_dot(self, capsys):
         report = run_json(capsys, "basis", "--n", "2", "--a", "0", "--b", "1")
         assert report["results"]["count"] == 2

@@ -322,7 +322,7 @@ class TestScan:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e308])
     def test_non_finite_coefficients_are_refused_before_any_verdict(self, bad, monkeypatch):
         # 1e308 is finite, but the sum of the coefficients' moduli is not.
-        monkeypatch.setattr(zoo, "psd_eig", lambda *args: pytest.fail("a verdict ran"))
+        monkeypatch.setattr(zoo, "corner_verdicts", lambda *args: pytest.fail("a verdict ran"))
         with pytest.raises(ParameterError, match="not finite"):
             positivity_scan(3, [0.0, 1e308], [0.0, bad])
 
